@@ -28,9 +28,11 @@ const deliveryClass = uint64(1) << 32
 
 type event struct {
 	at   Time
-	k1   uint64 // 0 for ordinary events; deliveryClass|src for deliveries
-	k2   uint64 // schedule seq (ordinary) or per-source delivery seq
-	fn   func()
+	k1   uint64   // 0 for ordinary events; deliveryClass|src for deliveries
+	k2   uint64   // schedule seq (ordinary) or per-source delivery seq
+	fn   func()   // nil for process wakes and for cancelled ladder events
+	proc *Process // non-nil for a process wake: resume proc at park gen
+	gen  uint64
 	id   EventID // non-zero only for cancellable events
 	idx  int     // index in heap, -1 when popped or cancelled
 	poll bool    // housekeeping observer, excluded from LastModel
@@ -87,6 +89,11 @@ const arenaBlock = 256
 // queue (NewLadderEngine — O(1) amortized, for event-dense large worlds).
 // Both order events by the same composite key, so they are interchangeable
 // bit for bit; TestLadderMatchesHeap pins that equivalence.
+//
+// A process wake is an event record carrying (process, park generation)
+// rather than a closure, so parking allocates nothing; and a Sleep whose
+// wake would provably be the next event executed skips the queue and the
+// goroutine handoff altogether (exact run-ahead, see Process.Sleep).
 type Engine struct {
 	now     Time
 	events  eventHeap
@@ -97,6 +104,11 @@ type Engine struct {
 	free    []*event           // recycled event objects (hot-path fast path)
 	arena   []event            // current arena block feeding the free path
 	stopped bool
+
+	// horizon is the exclusive bound on run-ahead wakes set by the running
+	// loop: maxTime under Run, t+1 under RunUntil(t), t under RunBefore(t),
+	// and 0 outside any loop, so a bare Step never runs ahead.
+	horizon Time
 
 	// procFailure holds a panic captured from a co-simulated process
 	// goroutine, re-raised on the engine goroutine by Process.run.
@@ -175,10 +187,30 @@ func (e *Engine) push(t Time, fn func()) *event {
 	return ev
 }
 
+// wake schedules the resume of p at t, valid only while p is still in the
+// park of generation gen.
+func (e *Engine) wake(t Time, p *Process, gen uint64) {
+	ev := e.push(t, nil)
+	ev.proc, ev.gen = p, gen
+}
+
 // recycle returns a popped or cancelled event object to the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.fn, ev.proc = nil, nil
 	e.free = append(e.free, ev)
+}
+
+// runAhead reports whether an ordinary event scheduled now at w would be
+// the next event the running loop executes: strictly before every pending
+// event (so it would be the queue's unique minimum whatever its tie-break
+// key), inside the loop's horizon, and with no Stop requested. An
+// overflowed w (below now) is left to push, which rejects it.
+func (e *Engine) runAhead(w Time) bool {
+	if w >= e.horizon || w < e.now || e.stopped {
+		return false
+	}
+	at, ok := e.PeekTime()
+	return !ok || w < at
 }
 
 // Schedule runs fn after delay d. A negative delay is an error in the model,
@@ -376,17 +408,26 @@ func (e *Engine) Step() bool {
 		e.lastModel = ev.at
 	}
 	e.executed++
-	// Recycle before running fn: fn may schedule new events, which can
-	// legitimately reuse this object, while the local fn value stays valid.
-	fn := ev.fn
+	// Recycle before running the body: it may schedule new events, which
+	// can legitimately reuse this object, while the locals stay valid.
+	fn, p, gen := ev.fn, ev.proc, ev.gen
 	e.recycle(ev)
-	fn()
+	if p != nil {
+		p.run(gen)
+	} else {
+		fn()
+	}
 	return true
 }
 
+// endLoop closes the run-ahead window when an event loop returns, so a
+// Step outside any loop never runs ahead.
+func (e *Engine) endLoop() { e.horizon = 0 }
+
 // Run executes events until none remain or Stop is called.
 func (e *Engine) Run() {
-	e.stopped = false
+	e.stopped, e.horizon = false, maxTime
+	defer e.endLoop()
 	for !e.stopped && e.Step() {
 	}
 }
@@ -394,7 +435,11 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then sets the clock to t
 // (if the simulation had not already advanced past it).
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
+	e.stopped, e.horizon = false, t+1
+	if t == maxTime {
+		e.horizon = maxTime
+	}
+	defer e.endLoop()
 	for !e.stopped {
 		at, ok := e.PeekTime()
 		if !ok || at > t {
@@ -413,7 +458,8 @@ func (e *Engine) RunUntil(t Time) {
 // stay at the last executed event so late-injected deliveries (which are
 // guaranteed to land at or after it) remain schedulable.
 func (e *Engine) RunBefore(t Time) {
-	e.stopped = false
+	e.stopped, e.horizon = false, t
+	defer e.endLoop()
 	for !e.stopped {
 		at, ok := e.PeekTime()
 		if !ok || at >= t {
@@ -423,5 +469,7 @@ func (e *Engine) RunBefore(t Time) {
 	}
 }
 
-// Stop makes Run/RunUntil/RunBefore return after the current event completes.
+// Stop makes Run/RunUntil/RunBefore return after the current event
+// completes. It also ends run-ahead: a process that sleeps after Stop parks
+// instead of running on past the loop's end.
 func (e *Engine) Stop() { e.stopped = true }

@@ -55,3 +55,43 @@ func BenchmarkQueueMicro(b *testing.B) {
 		b.Run(c.Name, c.Bench)
 	}
 }
+
+// BenchmarkProcessSleep measures one co-simulated process sleeping in a
+// loop with nothing else scheduled: every wake is the next event, so each
+// Sleep takes the run-ahead path and never parks.
+func BenchmarkProcessSleep(b *testing.B) {
+	e := NewEngine()
+	n := b.N
+	e.Spawn("sleeper", func(p *Process) {
+		for i := 0; i < n; i++ {
+			p.Sleep(Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcessPingPong measures the park path: two processes take
+// turns through a pair of Signals, so every operation is one wake event
+// and a goroutine handoff there and back.
+func BenchmarkProcessPingPong(b *testing.B) {
+	e := NewEngine()
+	ping, pong := NewSignal(e), NewSignal(e)
+	n := b.N
+	e.Spawn("ping", func(p *Process) {
+		for i := 0; i < n; i++ {
+			ping.Raise()
+			p.WaitSignal(pong)
+		}
+	})
+	e.Spawn("pong", func(p *Process) {
+		for i := 0; i < n; i++ {
+			p.WaitSignal(ping)
+			pong.Raise()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

@@ -23,9 +23,10 @@ import "sort"
 // The sort comparator is eventLess — the same composite (at, k1, k2) key
 // the heap kernel uses — so both kernels pop in bit-identical order.
 //
-// Cancellation is lazy: Engine.Cancel marks the event dead (fn == nil) and
-// decrements live; dead events are skipped and recycled when their bucket
-// drains. live therefore counts schedulable events only.
+// Cancellation is lazy: Engine.Cancel marks the event dead (fn == nil, and
+// proc is nil since only closure events are cancellable) and decrements
+// live; dead events are skipped and recycled when their bucket drains.
+// live therefore counts schedulable events only.
 type ladderQueue struct {
 	bottom []*event // sorted run being drained; next pop at index bot
 	bot    int
@@ -94,7 +95,7 @@ func (q *ladderQueue) ensure() bool {
 	for {
 		for q.bot < len(q.bottom) {
 			ev := q.bottom[q.bot]
-			if ev.fn != nil {
+			if ev.fn != nil || ev.proc != nil {
 				return true
 			}
 			q.bottom[q.bot] = nil

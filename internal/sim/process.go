@@ -66,21 +66,16 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 		}()
 		fn(p)
 	}()
-	e.Schedule(0, p.wakeFn())
+	e.wake(e.now, p, p.gen)
 	return p
 }
 
-// wakeFn returns an event body that resumes the process from its *current*
-// park. If the process has been woken by some other event in the meantime
-// (its generation advanced), the wake is stale and must be dropped — a
-// process may be the target of both a timer and a signal broadcast.
-func (p *Process) wakeFn() func() {
-	gen := p.gen
-	return func() { p.run(gen) }
-}
-
 // run hands control to the process and waits for it to park or finish.
-// It must only be called from an engine event.
+// It must only be called from an engine event: the wake event of the park
+// with generation gen. If the process has been woken by some other event
+// in the meantime (its generation advanced), the wake is stale and is
+// dropped — a process may be the target of both a timer and a signal
+// broadcast.
 func (p *Process) run(gen uint64) {
 	if p.done || !p.parked || p.gen != gen {
 		return // stale wake
@@ -115,17 +110,32 @@ func (p *Process) Now() Time { return p.eng.Now() }
 // Done reports whether the process function has returned.
 func (p *Process) Done() bool { return p.done }
 
-// Sleep advances the process's local time by d, yielding to the simulation.
-// Sleep(0) yields without advancing time (other events at the same instant
-// that were scheduled earlier run first).
+// Sleep advances the process's local time by d, yielding to the simulation
+// when anything else can happen first. When the wake at Now()+d would be
+// the very next event the running loop executes — strictly earlier than
+// every pending event, inside the loop's horizon, no Stop requested — the
+// process takes it in place (exact run-ahead): the clock and the engine
+// counters advance exactly as if the wake had been scheduled, popped and
+// run, without the park and the two goroutine handoffs. Sleep(0)
+// therefore yields only when another event is already due at the current
+// instant (events scheduled earlier at the same instant run first); with
+// nothing else due now it returns at once.
 func (p *Process) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
 	}
-	// The park below is what the scheduled wake resumes: stamp the wake
-	// with the post-park generation.
+	e := p.eng
+	w := e.now + d
+	if e.runAhead(w) {
+		// The bookkeeping of push, Step and run for the skipped wake.
+		e.seq++
+		e.now, e.lastModel = w, w
+		e.executed++
+		p.gen++
+		return
+	}
 	p.parked = true
-	p.eng.Schedule(d, p.wakeFn())
+	e.wake(w, p, p.gen)
 	p.yield <- struct{}{}
 	<-p.resume
 }
@@ -199,7 +209,16 @@ func (p *Process) WaitCondUntil(s *Signal, cond func() bool, d Time) bool {
 type Signal struct {
 	eng     *Engine
 	raised  bool
-	waiters []*Process
+	waiters []waiter
+}
+
+// waiter is one listing on a Signal: the process and the generation of
+// the park it listed for. A listing outlives its park when the process
+// was woken some other way (through the other signal of WaitCondAny); the
+// generation turns the Raise that finds it into a stale, dropped wake.
+type waiter struct {
+	p   *Process
+	gen uint64
 }
 
 // NewSignal returns a lowered signal bound to e.
@@ -209,14 +228,10 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 // at the current instant.
 func (s *Signal) Raise() {
 	s.raised = true
-	if len(s.waiters) == 0 {
-		return
+	for _, w := range s.waiters {
+		s.eng.wake(s.eng.now, w.p, w.gen)
 	}
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
-		s.eng.Schedule(0, p.wakeFn())
-	}
+	s.waiters = s.waiters[:0]
 }
 
 // TestClear reports whether the signal was raised, clearing it.
@@ -226,4 +241,4 @@ func (s *Signal) TestClear() bool {
 	return r
 }
 
-func (s *Signal) addWaiter(p *Process) { s.waiters = append(s.waiters, p) }
+func (s *Signal) addWaiter(p *Process) { s.waiters = append(s.waiters, waiter{p, p.gen}) }

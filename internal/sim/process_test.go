@@ -188,6 +188,31 @@ func TestWaitCondUntilImmediate(t *testing.T) {
 	}
 }
 
+// A process woken through one signal of WaitCondAny stays listed on the
+// other. That listing belongs to a park the process has already left, so
+// a later Raise of the other signal must not cut short an unrelated Sleep.
+func TestStaleWakeAfterWaitCondAny(t *testing.T) {
+	e := NewEngine()
+	s1, s2 := NewSignal(e), NewSignal(e)
+	ready := false
+	var slept Time
+	e.Spawn("w", func(p *Process) {
+		p.WaitCondAny(s1, s2, func() bool { return ready })
+		start := p.Now()
+		p.Sleep(100 * Nanosecond)
+		slept = p.Now() - start
+	})
+	e.Schedule(10*Nanosecond, func() {
+		ready = true
+		s1.Raise()
+	})
+	e.Schedule(40*Nanosecond, s2.Raise)
+	e.Run()
+	if slept != 100*Nanosecond {
+		t.Fatalf("Sleep(100ns) returned after %v: a stale s2 listing woke it", slept)
+	}
+}
+
 func TestProcessDone(t *testing.T) {
 	e := NewEngine()
 	p := e.Spawn("p", func(p *Process) { p.Sleep(Nanosecond) })

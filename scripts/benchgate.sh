@@ -1,6 +1,7 @@
 #!/bin/sh
 # Runs the bench-gate benchmark set — the engine event loop, the
-# event-queue and partition-runner micro-benchmarks, the ALPU device
+# process-layer sleep and signal ping-pong, the event-queue and
+# partition-runner micro-benchmarks, the ALPU device
 # micro-benchmarks, the matching-fabric dispatch/overflow and dispatch-
 # cache micro-benchmarks, and the quick Fig. 5 sweep cuts — and appends
 # the raw `go test -bench` output to the given file (default
@@ -15,6 +16,10 @@ set -e
 out="${1:-BENCH_CURRENT.txt}"
 : > "$out"
 go test -run '^$' -bench 'BenchmarkEngineScheduleStep$' -benchtime 1s -count 3 ./internal/sim | tee -a "$out"
+# Process layer: a solo Sleep loop (the run-ahead path, no park) and a
+# two-process Signal ping-pong (the park path: a wake event and a
+# goroutine handoff there and back per operation).
+go test -run '^$' -bench 'BenchmarkProcess(Sleep|PingPong)$' -benchtime 0.2s -count 3 ./internal/sim | tee -a "$out"
 # Time-based benchtime: the queue and partition-window ops are tens to
 # hundreds of ns, so a fixed small iteration count would be all timer
 # noise.
