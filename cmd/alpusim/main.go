@@ -36,7 +36,7 @@
 //	               and -jobs N and appends a timestamped record with the
 //	               speedups and micro-benchmarks to BENCH.json
 //	scale          conservative-PDES scaling study: a large halo-exchange
-//	               world run on the serial engine and again split across
+//	               world run at one partition and again split across
 //	               -par partitions, with wall-clock speedup
 //	stall          forces a watchdog stall (endless ping-pong world) and
 //	               writes the flight-recorder post-mortem (-flightdump)
@@ -50,11 +50,11 @@
 // byte-identical at any setting; -jobs 1 is fully sequential).
 //
 // -par N runs every simulated world as a conservative parallel simulation
-// over N per-rank partitions (mpi.Config.Partitions): per-partition event
-// engines synchronized by the wire-latency lookahead. Output is
-// byte-identical for every -par N >= 1 — including chaos runs, phase
+// over N per-rank partitions (mpi.Config.Partitions, default 1):
+// per-partition event engines synchronized by the wire-latency lookahead.
+// Output is byte-identical for every -par N — including chaos runs, phase
 // tables, traces and metrics — so the determinism CI diffs -par 1 against
-// -par 8. -par 0 (default) keeps the classic serial engine.
+// -par 8.
 //
 // Fault injection: -faults installs a fault model for experiments that
 // support one (chaos, devchaos, phases): either one probability for all
@@ -122,7 +122,7 @@ var (
 	format     = flag.String("format", "table", "output format: table or csv")
 	msgSize    = flag.Int("size", 0, "message payload bytes for fig5/fig6")
 	jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation worlds per sweep (1 = sequential)")
-	par        = flag.Int("par", 0, "partitions per simulated world: conservative parallel simulation on per-partition engines (0 = serial engine; output is identical for any value >= 1)")
+	par        = flag.Int("par", 1, "partitions per world (≥1; output identical for any value)")
 	benchOut   = flag.String("benchout", "BENCH.json", "output path for -experiment bench")
 	faultSpec  = flag.String("faults", "", "fault model: a probability (\"0.02\") or class=prob pairs (\"drop=0.01,dup=0.01,reorder=0.02,corrupt=0.005\")")
 	faultSeed  = flag.Int64("seed", 1, "fault-injection seed (same seed => byte-identical run)")
@@ -169,7 +169,7 @@ var experimentList = []struct{ name, desc string }{
 	{"devchaos", "device-chaos soak: ALPUs that flip bits, stall or die"},
 	{"tenancy", "heavy-tenancy matching sweep incl. the sharded fabric"},
 	{"bench", "wall-clock harness; appends a timestamped record to BENCH.json"},
-	{"scale", "conservative-PDES scaling study: serial engine vs -par"},
+	{"scale", "conservative-PDES scaling study: par-1 vs par-N"},
 	{"stall", "forced watchdog stall with a flight-recorder post-mortem"},
 	{"all", "tables, figures, gap, anchors and phases (the deterministic core)"},
 	{"list", "print this table and exit"},
@@ -586,8 +586,7 @@ type benchReport struct {
 	RecordedAt string `json:"recorded_at"` // RFC 3339 UTC
 	Quick      bool   `json:"quick"`
 	Jobs       int    `json:"jobs"`
-	// Par is the -par setting the sweeps ran with (partitions per world;
-	// 0 = serial engine).
+	// Par is the -par setting the sweeps ran with (partitions per world).
 	Par         int           `json:"par"`
 	NumCPU      int           `json:"num_cpu"`
 	GoMaxProcs  int           `json:"gomaxprocs"`
@@ -597,8 +596,8 @@ type benchReport struct {
 	// search, or compaction drain per geometry.
 	ALPUMicro []alpu.MicroResult `json:"alpu_micro"`
 	// QueueMicro holds the event-kernel micro-benchmarks (internal/sim
-	// QueueMicroCases): schedule/step and cancellation costs of the heap
-	// and ladder queues, plus the partition-runner barrier overhead.
+	// QueueMicroCases): schedule/step and cancellation costs of the event
+	// queue, plus the partition-runner barrier overhead.
 	QueueMicro  []sim.MicroResult `json:"queue_micro"`
 	TotalSeqSec float64           `json:"total_sequential_sec"`
 	TotalParSec float64           `json:"total_parallel_sec"`
@@ -742,8 +741,8 @@ func benchHarness() {
 }
 
 // scaleExp measures what the partitioned engines buy: one large
-// halo-exchange world run to completion on the serial engine and again
-// split across -par partitions (default GOMAXPROCS). The simulated
+// halo-exchange world run to completion at one partition and again split
+// across N partitions — -par, or GOMAXPROCS when -par is 1. The simulated
 // behaviour is identical; only the wall clock moves, and the speedup
 // tracks the number of physical cores — on a single-core box the
 // partitioned run can only show the synchronization overhead.
@@ -754,7 +753,7 @@ func scaleExp() {
 		iters = 8
 	}
 	parts := *par
-	if parts <= 0 {
+	if parts <= 1 {
 		parts = runtime.GOMAXPROCS(0)
 	}
 	nicCfg := bench.NICConfig(bench.ALPU128)
@@ -763,16 +762,16 @@ func scaleExp() {
 		rep := workloads.Halo(nicCfg, ranks, iters, 1024, 8, opts...)
 		return rep, time.Since(t0).Seconds()
 	}
-	serialRep, serialSec := run()
+	oneRep, oneSec := run(workloads.WithPartitions(1))
 	parRep, parSec := run(workloads.WithPartitions(parts))
 	fmt.Printf("Scaling study: halo exchange, %d ranks x %d iters, alpu-128 NIC\n", ranks, iters)
 	tb := stats.NewTable("engine", "wall-clock s", "simulated time")
-	tb.AddRow("serial", fmt.Sprintf("%.3f", serialSec), serialRep.Elapsed.String())
+	tb.AddRow("par-1", fmt.Sprintf("%.3f", oneSec), oneRep.Elapsed.String())
 	tb.AddRow(fmt.Sprintf("par-%d", parts), fmt.Sprintf("%.3f", parSec), parRep.Elapsed.String())
 	tb.Render(os.Stdout)
 	if parSec > 0 {
 		fmt.Printf("wall-clock speedup %.2fx at %d partitions on %d CPU core(s)\n",
-			serialSec/parSec, parts, runtime.NumCPU())
+			oneSec/parSec, parts, runtime.NumCPU())
 	}
 	fmt.Println()
 }

@@ -31,7 +31,7 @@
 //
 // -par N splits every study world into N per-rank partitions run as a
 // conservative parallel simulation (see alpusim -help); every output is
-// byte-identical for any -par N >= 1, with 0 keeping the serial engine.
+// byte-identical for any -par N.
 package main
 
 import (
@@ -61,7 +61,7 @@ var (
 	cells      = flag.Int("cells", 128, "ALPU cells for the accelerated runs")
 	shardsFlag = flag.Int("shards", 0, "matching-fabric shards for the accelerated runs (0/1 = single ALPU); adds a per-shard occupancy table")
 	jobsFlag   = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation worlds (1 = sequential)")
-	parFlag    = flag.Int("par", 0, "partitions per study world: conservative parallel simulation (0 = serial engine; output identical for any value >= 1)")
+	parFlag    = flag.Int("par", 1, "partitions per world (≥1; output identical for any value)")
 	faultSpec  = flag.String("faults", "", "fault model: a probability or class=prob pairs (see alpusim -help)")
 	faultSeed  = flag.Int64("seed", 1, "fault-injection seed")
 	breakdown  = flag.Bool("breakdown", false, "report mean per-message latency phases per study")
@@ -133,9 +133,7 @@ func main() {
 	if fm != nil {
 		opts = []workloads.Option{workloads.WithFaults(fm), workloads.WithWatchdog(faultyWatchdog)}
 	}
-	if *parFlag > 0 {
-		opts = append(opts, workloads.WithPartitions(*parFlag))
-	}
+	opts = append(opts, workloads.WithPartitions(*parFlag))
 	if *flightSize != 0 {
 		opts = append(opts, workloads.WithFlightEvents(*flightSize))
 	}

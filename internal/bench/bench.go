@@ -108,8 +108,8 @@ type PrepostedConfig struct {
 	// 0 or 1 runs sequentially; < 0 selects runtime.GOMAXPROCS(0).
 	Jobs int
 
-	// Partitions runs each point's world under conservative parallel
-	// simulation (mpi.Config.Partitions); 0 keeps the serial engine.
+	// Partitions is the number of partitions per point's world
+	// (mpi.Config.Partitions; output identical for any value).
 	Partitions int
 
 	// Faults, when non-nil, runs each point's world over a faulty network

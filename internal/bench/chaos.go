@@ -54,7 +54,7 @@ type ChaosConfig struct {
 	// Jobs: parallel worlds, as in the figure benchmarks.
 	Jobs int
 	// Partitions: conservative parallel simulation per cell world, as in
-	// PrepostedConfig. The report is identical at any setting >= 1.
+	// PrepostedConfig. The report is identical at any setting.
 	Partitions int
 }
 

@@ -57,7 +57,7 @@ type DevChaosConfig struct {
 	// Jobs: parallel worlds, as in the figure benchmarks.
 	Jobs int
 	// Partitions: conservative parallel simulation per cell world. The
-	// report is byte-identical at any setting >= 1.
+	// report is byte-identical at any setting.
 	Partitions int
 }
 

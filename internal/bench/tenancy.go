@@ -106,10 +106,7 @@ func tenancyRow(cfg TenancyBenchConfig, name string, alpuOn bool, shards int) Te
 	if shards > 1 {
 		nc.MatchShards = shards
 	}
-	var opts []workloads.Option
-	if cfg.Partitions > 0 {
-		opts = append(opts, workloads.WithPartitions(cfg.Partitions))
-	}
+	opts := []workloads.Option{workloads.WithPartitions(cfg.Partitions)}
 	var sa *telemetry.Sampler
 	if cfg.Series {
 		sa = telemetry.NewSampler(0, 0)
@@ -253,10 +250,7 @@ func TenancyOutcomes(cfg TenancyBenchConfig, shards int) (workloads.TenancyParam
 	if shards > 1 {
 		nc.MatchShards = shards
 	}
-	var opts []workloads.Option
-	if cfg.Partitions > 0 {
-		opts = append(opts, workloads.WithPartitions(cfg.Partitions))
-	}
+	opts := []workloads.Option{workloads.WithPartitions(cfg.Partitions)}
 	p := workloads.TenancyParams{Ranks: cfg.Ranks, Comms: cfg.Comms, Msgs: cfg.Msgs, Seed: cfg.Seed}
 	return p, workloads.Tenancy(nc, p, opts...)
 }

@@ -46,9 +46,9 @@ func recoverWatchdog(t *testing.T, cfg Config, progs []Program) (werr *sim.Watch
 
 // A watchdog expiry on a world with a causal recorder names the slowest
 // completed chain in its dump — the first thing to look at when a run
-// hangs — in both the serial and the partitioned engine.
+// hangs — at one partition and at several.
 func TestWatchdogDumpNamesSlowestCausalChain(t *testing.T) {
-	for _, parts := range []int{0, 2} {
+	for _, parts := range []int{1, 2} {
 		cfg := baseCfg(2)
 		cfg.WatchdogLimit = 200 * sim.Microsecond
 		cfg.Partitions = parts
@@ -58,8 +58,10 @@ func TestWatchdogDumpNamesSlowestCausalChain(t *testing.T) {
 			t.Errorf("par=%d: watchdog dump missing the causal chain line:\n%s",
 				parts, werr.Dump)
 		}
-		if !strings.Contains(werr.Dump, "watchdog: last external progress poke") && parts > 0 {
-			t.Errorf("par=%d: partitioned dump missing the last-poke line:\n%s",
+		// Only barrier injections poke the watchdog, so only a world whose
+		// two ranks sit on different partitions logs a poke.
+		if !strings.Contains(werr.Dump, "watchdog: last external progress poke") && parts > 1 {
+			t.Errorf("par=%d: dump missing the last-poke line:\n%s",
 				parts, werr.Dump)
 		}
 	}
@@ -91,22 +93,22 @@ func TestWorldCausalReportPartitionInvariant(t *testing.T) {
 		}
 		return rep
 	}
-	serial := run(0)
-	if serial.Messages < 4 {
-		t.Fatalf("causal recorder saw %d messages, want >= 4", serial.Messages)
+	ref := run(1)
+	if ref.Messages < 4 {
+		t.Fatalf("causal recorder saw %d messages, want >= 4", ref.Messages)
 	}
 	pm := 0
-	for _, b := range serial.Blame {
+	for _, b := range ref.Blame {
 		pm += b.Permille
 	}
 	if pm != 1000 {
 		t.Errorf("blame permille sums to %d", pm)
 	}
-	for _, parts := range []int{1, 2} {
+	for _, parts := range []int{0, 2} {
 		got := run(parts)
-		if got.CriticalPath != serial.CriticalPath || got.Messages != serial.Messages {
+		if got.CriticalPath != ref.CriticalPath || got.Messages != ref.Messages {
 			t.Errorf("par=%d report diverged: critpath %v/%v messages %d/%d",
-				parts, got.CriticalPath, serial.CriticalPath, got.Messages, serial.Messages)
+				parts, got.CriticalPath, ref.CriticalPath, got.Messages, ref.Messages)
 		}
 	}
 }

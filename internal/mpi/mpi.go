@@ -51,16 +51,14 @@ type Config struct {
 	WireLatency       sim.Time
 	LinkBandwidthBpns int
 
-	// Partitions > 0 runs the world as a conservative parallel simulation:
-	// ranks are split into that many contiguous partitions, each with its
-	// own engine (on the ladder event kernel) and worker goroutine,
-	// synchronized in barrier windows bounded by the wire-latency
-	// lookahead (see sim.PartitionSet). Output is canonical — byte
-	// identical for every Partitions >= 1, including under faults — but
-	// uses the partition-invariant event tie-break, so it can differ from
-	// the Partitions == 0 single-engine schedule in tie-sensitive
-	// observables (trace interleavings; never in protocol correctness).
-	// Values above Ranks are clamped; 0 keeps the classic serial engine.
+	// Partitions is the number of partitions per world (>= 1; output
+	// identical for any value). Ranks are split into that many contiguous
+	// partitions, each with its own engine and worker goroutine, run as a
+	// conservative parallel simulation in barrier windows bounded by the
+	// wire-latency lookahead (see sim.PartitionSet). Events order by one
+	// partition-invariant tie-break, so every observable is byte identical
+	// at any setting, including under faults. Values below 1 mean one
+	// partition; values above Ranks are clamped.
 	Partitions int
 
 	// Faults installs a network fault model (nil = the reliable in-order
@@ -77,7 +75,7 @@ type Config struct {
 	// by all NICs and the network), so TelemetrySnapshot always works.
 	Telemetry *telemetry.Registry
 	// Tracer records the world's activity as Chrome trace events: NIC
-	// firmware/ALPU/reliability tracks plus engine counter sampling.
+	// firmware/ALPU/reliability tracks.
 	Tracer *telemetry.Tracer
 	// Phases records per-message latency pipeline stamps.
 	Phases *telemetry.Phases
@@ -113,8 +111,7 @@ type Config struct {
 
 // World is a built cluster.
 type World struct {
-	// Eng is the world's engine in single-engine mode; in partitioned
-	// mode it aliases partition 0's engine (useful for its clock, not for
+	// Eng aliases partition 0's engine (useful for its clock, not for
 	// driving the run — use RunSim).
 	Eng   *sim.Engine
 	Net   *network.Network
@@ -129,21 +126,13 @@ type World struct {
 	Causal *telemetry.Causal
 	Series *telemetry.Sampler
 
-	// Flight is the recorder the world's components trace into: the
-	// bounded flight ring when no full tracer was configured, or the
-	// full tracer itself. Nil when recording is off and in partitioned
-	// mode, where each partition records into its own shard — use
-	// WriteFlight/FlightStats, which merge.
-	Flight *telemetry.Tracer
-
-	// Partitioned mode (Config.Partitions > 0).
-	Engines      []*sim.Engine // per-partition engines (nil when serial)
+	Engines      []*sim.Engine // per-partition engines
 	ps           *sim.PartitionSet
 	partOf       []int                // rank -> partition
 	recShards    []*telemetry.Tracer  // per-partition tracer/flight shards
 	phaseShards  []*telemetry.Phases  // per-partition phase shards
 	causalShards []*telemetry.Causal  // per-partition causal shards
-	seriesShards []*telemetry.Sampler // per-engine sampler shards (also serial)
+	seriesShards []*telemetry.Sampler // per-partition sampler shards
 	wds          []*sim.Watchdog      // per-partition watchdogs
 	wdErrs       []*sim.WatchdogError // per-partition expiry, read at barriers
 	absorbed     bool                 // shards folded into Tracer/Phases
@@ -156,8 +145,8 @@ type World struct {
 	ranksLive atomic.Int32
 
 	// mu guards the cross-partition mutable state: communicator tables,
-	// flight dumping, and the watchdog handoff. In single-engine mode it
-	// is uncontended.
+	// flight dumping, and the watchdog handoff. In a one-partition world
+	// it is uncontended.
 	mu sync.Mutex
 
 	// Communicator machinery: deterministic context allocation and the
@@ -214,17 +203,36 @@ func applyDeviceFaults(nc *nic.Config, f *network.FaultModel) {
 	}
 }
 
-// NewWorld constructs the cluster: network, NICs (with optional ALPUs),
-// hosts.
+// NewWorld constructs the cluster — network, NICs (with optional ALPUs),
+// hosts — for conservative parallel simulation: one engine per partition
+// of the rank space, synchronized by a sim.PartitionSet whose lookahead
+// is the wire latency (the minimum cross-partition delivery delay — see
+// DESIGN.md §5.9). Every mutable recorder a partition writes during a
+// window is sharded per partition (tracer, flight ring, phase stamps, slog
+// clock) and merged canonically afterwards, so the world's outputs are a
+// pure function of the simulation, not of the partition count.
 func NewWorld(cfg Config) *World {
 	if cfg.Ranks < 1 {
 		panic("mpi: need at least one rank")
 	}
-	if cfg.Partitions > 0 {
-		return newPartitionedWorld(cfg)
+	nparts := min(max(cfg.Partitions, 1), cfg.Ranks)
+	wire := cfg.WireLatency
+	if wire <= 0 {
+		wire = params.WireLatency
 	}
-	eng := sim.NewEngine()
-	net := network.New(eng, cfg.Ranks, cfg.WireLatency, cfg.LinkBandwidthBpns)
+	engines := make([]*sim.Engine, nparts)
+	for p := range engines {
+		engines[p] = sim.NewEngine()
+	}
+	ps := sim.NewPartitionSet(engines, wire)
+	// Contiguous rank blocks: rank i lives on partition i*P/N, so
+	// neighbor-heavy workloads (halo exchange) keep most traffic
+	// partition-local.
+	partOf := make([]int, cfg.Ranks)
+	for i := range partOf {
+		partOf[i] = i * nparts / cfg.Ranks
+	}
+	net := network.New(ps, partOf, cfg.WireLatency, cfg.LinkBandwidthBpns)
 	if cfg.Faults.WireActive() {
 		// Wire classes go to the network; the reliability protocol restores
 		// the in-order, loss-free delivery the matching queues assume.
@@ -235,136 +243,11 @@ func NewWorld(cfg Config) *World {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	// The recorder components trace into: the full tracer when one was
-	// configured, else a bounded flight ring when a watchdog or a dump
-	// path asks for post-mortem capture. The ring accepts the same
+	// Recorder shards, one per partition: full tracers when tracing was
+	// requested, else bounded flight rings when a watchdog or dump path
+	// asks for post-mortem capture. A ring accepts the same
 	// instrumentation calls with O(N) memory, so it can stay on during
-	// chaos soaks without changing any simulated outcome.
-	rec := cfg.Tracer
-	if rec == nil && cfg.FlightEvents >= 0 {
-		n := cfg.FlightEvents
-		if n == 0 && (cfg.WatchdogLimit > 0 || cfg.FlightDumpPath != "") {
-			n = telemetry.DefaultFlightEvents
-		}
-		if n > 0 {
-			rec = telemetry.NewFlightRecorder(n)
-		}
-	}
-	w := &World{
-		Eng:         eng,
-		Net:         net,
-		Tel:         reg,
-		Tracer:      cfg.Tracer,
-		Phases:      cfg.Phases,
-		Series:      cfg.Series,
-		Flight:      rec,
-		log:         telemetry.SimLogger(cfg.Log, eng.Now),
-		flightPath:  cfg.FlightDumpPath,
-		devFaults:   cfg.Faults.DeviceActive() || nicDeviceFaults(cfg.NIC),
-		matchShards: cfg.NIC.MatchShards,
-		nextCtx:     worldContext,
-		ctxTable:    make(map[string]uint16),
-		boards:      make(map[string][]any),
-	}
-	if cfg.Phases != nil {
-		net.SetPhases(cfg.Phases)
-	}
-	if cfg.Causal != nil {
-		w.Causal = cfg.Causal
-		net.SetCausal(cfg.Causal)
-	}
-	// Engine counter sampling only rides the full tracer: a sampler
-	// would flood the small flight ring with counter events and evict
-	// the firmware history a post-mortem is actually after.
-	telemetry.TraceEngine(eng, cfg.Tracer, 0)
-	// The time-series sampler works through a shard even in serial mode,
-	// so the fold into the master is identical at any partition count.
-	if cfg.Series != nil {
-		sh := cfg.Series.Shard()
-		w.seriesShards = []*telemetry.Sampler{sh}
-		sh.Attach(eng)
-	}
-	for i := 0; i < cfg.Ranks; i++ {
-		nc := cfg.NIC
-		nc.ID = i
-		applyDeviceFaults(&nc, cfg.Faults)
-		nc.Telemetry = reg
-		nc.Tracer = rec
-		nc.Phases = cfg.Phases
-		nc.Causal = cfg.Causal
-		if w.seriesShards != nil {
-			nc.Series = w.seriesShards[0]
-		}
-		nc.Log = w.log
-		if w.flightPath != "" {
-			nc.ErrorHook = func(error) { w.dumpFlight("protocol-error", false) }
-		}
-		n := nic.New(eng, nc, net)
-		w.NICs = append(w.NICs, n)
-		w.Hosts = append(w.Hosts, host.New(eng, i, n))
-	}
-	if cfg.WatchdogLimit > 0 {
-		wd := sim.NewWatchdog(eng, cfg.WatchdogLimit, 0)
-		wd.Diag = func() string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "faults: %v injected [%s]\n", cfg.Faults, net.FaultStats().String())
-			b.WriteString(w.TelemetrySnapshot().Table())
-			if ch, ok := w.Causal.Top1(); ok {
-				fmt.Fprintf(&b, "\nslowest causal chain: %s", ch.String())
-			}
-			return b.String()
-		}
-		wd.OnDump = func() {
-			if w.log != nil {
-				w.log.Error("watchdog expired", "limit", cfg.WatchdogLimit.String())
-			}
-			w.dumpFlight("watchdog", true)
-		}
-	}
-	return w
-}
-
-// newPartitionedWorld builds the cluster for conservative parallel
-// simulation: one ladder-kernel engine per partition of the rank space,
-// synchronized by a sim.PartitionSet whose lookahead is the wire latency
-// (the minimum cross-partition delivery delay — see DESIGN.md §5.9).
-// Every mutable recorder a partition writes during a window is sharded
-// per partition (tracer, flight ring, phase stamps, slog clock) and
-// merged canonically afterwards, so the world's outputs are a pure
-// function of the simulation, not of the partition count.
-func newPartitionedWorld(cfg Config) *World {
-	nparts := cfg.Partitions
-	if nparts > cfg.Ranks {
-		nparts = cfg.Ranks
-	}
-	wire := cfg.WireLatency
-	if wire <= 0 {
-		wire = params.WireLatency
-	}
-	engines := make([]*sim.Engine, nparts)
-	for p := range engines {
-		engines[p] = sim.NewLadderEngine()
-	}
-	ps := sim.NewPartitionSet(engines, wire)
-	// Contiguous rank blocks: rank i lives on partition i*P/N, so
-	// neighbor-heavy workloads (halo exchange) keep most traffic
-	// partition-local.
-	partOf := make([]int, cfg.Ranks)
-	for i := range partOf {
-		partOf[i] = i * nparts / cfg.Ranks
-	}
-	net := network.NewPartitioned(ps, partOf, cfg.WireLatency, cfg.LinkBandwidthBpns)
-	if cfg.Faults.WireActive() {
-		net.SetFaults(cfg.Faults)
-		cfg.NIC.Reliable = true
-	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	// Recorder shards, one per partition, under the serial path's arming
-	// rules: full tracers when tracing was requested, flight rings when a
-	// watchdog or dump path asks for post-mortem capture. Components on
+	// chaos soaks without changing any simulated outcome. Components on
 	// partition p trace only into shard p; Tracer.Absorb merges the
 	// shards into one canonical timeline after the run.
 	recShards := make([]*telemetry.Tracer, nparts)
@@ -435,10 +318,6 @@ func newPartitionedWorld(cfg Config) *World {
 	if causalShards != nil {
 		net.SetCausalSharded(causalShards)
 	}
-	// No engine counter sampling: the serial sampler's track is a single
-	// pid 999 stream, and a per-partition equivalent would make the trace
-	// a function of the partition count. The ladder/partition micro
-	// benchmarks cover kernel health instead.
 	logs := make([]*slog.Logger, nparts)
 	for p := range logs {
 		logs[p] = telemetry.SimLogger(cfg.Log, engines[p].Now)
@@ -463,8 +342,16 @@ func newPartitionedWorld(cfg Config) *World {
 		if w.flightPath != "" && recShards[0] != nil {
 			// The hook fires on a partition goroutine mid-window, where
 			// reading other partitions' shards would race; defer the dump
-			// to the next barrier, where the world is quiescent.
-			nc.ErrorHook = func(error) { w.requestDump("protocol-error") }
+			// to the next barrier, where the world is quiescent, and stop
+			// this partition's window so that barrier comes at once — a
+			// one-partition world runs a single unbounded window, and the
+			// dump must hold the history before the first fault, not the
+			// end of the run.
+			nc.ErrorHook = func(error) {
+				if w.requestDump("protocol-error") {
+					engines[p].Stop()
+				}
+			}
 		}
 		n := nic.New(engines[p], nc, net)
 		w.NICs = append(w.NICs, n)
@@ -495,7 +382,7 @@ func newPartitionedWorld(cfg Config) *World {
 			// A drained partition's sampler chain stopped re-arming; an
 			// injected delivery is about to wake it, so resume the chain at
 			// the tick where it left off. The engine was frozen in between,
-			// so the resumed ticks sample what the serial run would have.
+			// so the resumed ticks sample what an unsplit run would have.
 			seriesShards[p].Rearm()
 		}
 	}
@@ -504,19 +391,22 @@ func newPartitionedWorld(cfg Config) *World {
 }
 
 // requestDump records that a partition goroutine wants a flight dump; the
-// coordinator performs it at the next barrier.
-func (w *World) requestDump(reason string) {
+// coordinator performs it at the next barrier. It reports whether this
+// call made the request (false when one is pending or already served).
+func (w *World) requestDump(reason string) bool {
 	w.mu.Lock()
-	if w.pendingDump == "" && !w.flightDumped {
-		w.pendingDump = reason
+	defer w.mu.Unlock()
+	if w.pendingDump != "" || w.flightDumped {
+		return false
 	}
-	w.mu.Unlock()
+	w.pendingDump = reason
+	return true
 }
 
 // onBarrier runs on the coordinator between partition windows, with every
 // partition quiescent: it performs flight dumps requested mid-window and
-// converts a captured watchdog expiry into the world-level panic the
-// serial path would have raised, diagnostics appended.
+// converts a captured watchdog expiry into the world-level panic,
+// diagnostics appended.
 func (w *World) onBarrier(cfg Config) {
 	w.mu.Lock()
 	reason := w.pendingDump
@@ -554,24 +444,19 @@ func (w *World) onBarrier(cfg Config) {
 	}
 }
 
-// RunSim drives the built world to completion: the partition coordinator
-// in partitioned mode (folding the recorder shards into Tracer/Phases
-// when it returns, panic included), the classic serial event loop
-// otherwise.
+// RunSim drives the built world to completion on the partition
+// coordinator, folding the recorder shards into Tracer/Phases/Causal/
+// Series when it returns, panic included.
 func (w *World) RunSim() {
-	if w.ps == nil {
-		w.Eng.Run()
-		w.finalizeSeries()
-		return
-	}
 	defer w.absorbShards()
 	w.ps.Run()
 }
 
 // absorbShards folds the per-partition recorder shards into the
-// world-level Tracer and Phases in canonical order. Idempotent.
+// world-level Tracer, Phases and Causal in canonical order, then finalizes
+// the time series. Idempotent.
 func (w *World) absorbShards() {
-	if w.absorbed || w.ps == nil {
+	if w.absorbed {
 		return
 	}
 	w.absorbed = true
@@ -596,14 +481,8 @@ func (w *World) finalizeSeries() {
 		return
 	}
 	var tEnd sim.Time
-	if w.ps == nil {
-		tEnd = w.Eng.LastModel()
-	} else {
-		for _, eng := range w.Engines {
-			if t := eng.LastModel(); t > tEnd {
-				tEnd = t
-			}
-		}
+	for _, eng := range w.Engines {
+		tEnd = max(tEnd, eng.LastModel())
 	}
 	for _, sh := range w.seriesShards {
 		sh.Finalize(tEnd)
@@ -613,14 +492,10 @@ func (w *World) finalizeSeries() {
 }
 
 // flightTracer returns the recorder WriteFlight and dumpFlight render:
-// the world recorder in serial mode, the partition shards merged into
-// one canonical timeline in partitioned mode (nil when recording is
-// off). Each partition ring bounds its own history, so a partitioned
+// the partition shards merged into one canonical timeline (nil when
+// recording is off). Each partition ring bounds its own history, so a
 // dump can retain up to Partitions x FlightEvents events.
 func (w *World) flightTracer() *telemetry.Tracer {
-	if w.ps == nil {
-		return w.Flight
-	}
 	if w.recShards[0] == nil {
 		return nil
 	}
@@ -630,12 +505,9 @@ func (w *World) flightTracer() *telemetry.Tracer {
 }
 
 // FlightStats reports the flight recorder's retained and overwritten
-// event counts, summed across partition shards in partitioned mode
-// (0, 0 when recording is off).
+// event counts, summed across partition shards (0, 0 when recording is
+// off).
 func (w *World) FlightStats() (events int, dropped uint64) {
-	if w.ps == nil {
-		return w.Flight.Len(), w.Flight.Dropped()
-	}
 	for _, sh := range w.recShards {
 		events += sh.Len()
 		dropped += sh.Dropped()
@@ -657,8 +529,8 @@ func (w *World) WriteFlight(out io.Writer) error {
 // Protocol errors dump once (the history leading to the *first* fault;
 // chaos runs note thousands); a watchdog expiry always dumps, replacing
 // any earlier error dump with the complete pre-stall history. Runs on
-// the simulation goroutine (the barrier coordinator in partitioned
-// mode), so no locking is needed.
+// the barrier coordinator with every partition quiescent, so no locking
+// is needed.
 func (w *World) dumpFlight(reason string, force bool) {
 	t := w.flightTracer()
 	if w.flightPath == "" || t == nil || (w.flightDumped && !force) {
@@ -803,14 +675,10 @@ func (req *Request) Status() Status {
 // Program is an application entry point (the rank's "main").
 type Program func(r *Rank)
 
-// SpawnRank starts prog as rank id (on its partition's engine when the
-// world is partitioned).
+// SpawnRank starts prog as rank id on its partition's engine.
 func (w *World) SpawnRank(id int, prog Program) {
 	h := w.Hosts[id]
-	eng := w.Eng
-	if w.ps != nil {
-		eng = w.Engines[w.partOf[id]]
-	}
+	eng := w.Engines[w.partOf[id]]
 	w.ranksLive.Add(1)
 	eng.Spawn(fmt.Sprintf("rank%d", id), func(p *sim.Process) {
 		r := &Rank{

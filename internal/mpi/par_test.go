@@ -2,14 +2,20 @@ package mpi
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"alpusim/internal/network"
+	"alpusim/internal/params"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
 )
@@ -204,9 +210,9 @@ func TestPartitionedWatchdogCrossPartition(t *testing.T) {
 	}
 }
 
-// TestPartitionedDrainsClean checks a partitioned world still satisfies
-// the serial invariants: all queues empty, no ranks blocked, watchdog
-// armed but silent.
+// TestPartitionedDrainsClean checks a world of several partitions still
+// satisfies the drain invariants: all queues empty, no ranks blocked,
+// watchdog armed but silent.
 func TestPartitionedDrainsClean(t *testing.T) {
 	const ranks = 6
 	plan := buildSoakPlan(rand.New(rand.NewSource(5)), ranks, 48)
@@ -215,4 +221,98 @@ func TestPartitionedDrainsClean(t *testing.T) {
 	cfg.WatchdogLimit = 50 * sim.Millisecond
 	cfg.FlightEvents = -1
 	soakMatchDigest(t, "par-alpu", cfg, plan, ranks)
+}
+
+// firstFaultLog is a slog handler that keeps the earliest simulated time
+// (the t_sim stamp) at which any partition logged a recoverable protocol
+// error.
+type firstFaultLog struct {
+	mu    sync.Mutex
+	first sim.Time // -1 until one is logged
+}
+
+func (h *firstFaultLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *firstFaultLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *firstFaultLog) WithGroup(string) slog.Handler            { return h }
+
+func (h *firstFaultLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "recoverable protocol error" {
+		return nil
+	}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key != "t_sim" {
+			return true
+		}
+		t := parseSimTime(a.Value.String())
+		h.mu.Lock()
+		if h.first < 0 || t < h.first {
+			h.first = t
+		}
+		h.mu.Unlock()
+		return false
+	})
+	return nil
+}
+
+// parseSimTime inverts sim.Time.String to the nanosecond.
+func parseSimTime(s string) sim.Time {
+	for _, u := range []struct {
+		suffix string
+		unit   sim.Time
+	}{{"ms", sim.Millisecond}, {"us", sim.Microsecond}, {"ns", sim.Nanosecond}, {"ps", sim.Picosecond}} {
+		if v, ok := strings.CutSuffix(s, u.suffix); ok {
+			f, _ := strconv.ParseFloat(v, 64)
+			return sim.Time(f * float64(u.unit))
+		}
+	}
+	return 0
+}
+
+// TestProtocolErrorDumpHoldsFirstFault: the flight dump the first
+// recoverable protocol error requests must hold the history leading to
+// that fault, at any partition count. The dump is deferred to the next
+// barrier, so the erring partition stops its window; without the stop, a
+// one-partition world — a single unbounded window — reaches its first
+// barrier only when it drains, and the dump held the end of the run. The
+// bound is one wire latency (the lookahead) plus one window, which lasts
+// at most two wire latencies (the reaction round trip).
+func TestProtocolErrorDumpHoldsFirstFault(t *testing.T) {
+	const ranks = 4
+	plan := buildSoakPlan(rand.New(rand.NewSource(5)), ranks, 200)
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par%d", parts), func(t *testing.T) {
+			dump := filepath.Join(t.TempDir(), "flight.json")
+			log := &firstFaultLog{first: -1}
+			cfg := alpuCfg(ranks, 32)
+			cfg.Partitions = parts
+			cfg.Faults = &network.FaultModel{Seed: 3, ALPUBitFlipProb: 0.02}
+			cfg.FlightDumpPath = dump
+			cfg.Log = slog.New(log)
+			soakMatchDigest(t, "", cfg, plan, ranks)
+			if log.first < 0 {
+				t.Fatal("the bit-flip mix raised no protocol error")
+			}
+			data, err := os.ReadFile(dump)
+			if err != nil {
+				t.Fatalf("no flight dump: %v", err)
+			}
+			var events []struct {
+				Ph string  `json:"ph"`
+				Ts float64 `json:"ts"`
+			}
+			if err := json.Unmarshal(data, &events); err != nil {
+				t.Fatalf("flight dump is not trace JSON: %v", err)
+			}
+			var latest sim.Time
+			for _, e := range events {
+				if e.Ph != "M" {
+					latest = max(latest, sim.Time(e.Ts*float64(sim.Microsecond)))
+				}
+			}
+			if bound := log.first + 3*params.WireLatency; latest > bound {
+				t.Errorf("dump reaches %v, past %v: first fault at %v plus a wire latency and a window",
+					latest, bound, log.first)
+			}
+		})
+	}
 }

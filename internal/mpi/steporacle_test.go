@@ -16,9 +16,10 @@ import (
 // The whole-world step oracle. RunSim lets a rank process take its own
 // wake in place when nothing else can happen first (run-ahead, see
 // sim.Process.Sleep); a world stepped by bare Engine.Step calls never
-// does. Serial worlds driven both ways must export identical bytes:
-// trace JSON, metrics JSON, time series and causal report. Partitioned
-// worlds are covered by the -par 1 vs -par 8 determinism tests.
+// does. One-partition worlds driven both ways must export identical
+// bytes: trace JSON, metrics JSON, time series and causal report. Worlds
+// of several partitions are covered by the -par 1 vs -par 8 determinism
+// tests.
 
 // stepOracleOut is every exported byte stream of one drained world.
 type stepOracleOut struct {
@@ -26,21 +27,25 @@ type stepOracleOut struct {
 }
 
 // runStepOracle builds the world with every recorder attached, drives it
-// with RunSim or with bare Steps plus RunSim's serial finalisation, and
-// renders its outputs. extra renders program-level results.
+// with RunSim or with bare Steps, and renders its outputs. The stepped run
+// drains the world's only engine and then folds the recorder shards
+// exactly as RunSim does on return. extra renders program-level results.
 func runStepOracle(t *testing.T, cfg Config, progs []Program, step bool, extra func() string) stepOracleOut {
 	t.Helper()
 	cfg.Tracer = telemetry.NewTracer()
 	cfg.Causal = telemetry.NewCausal()
 	cfg.Series = telemetry.NewSampler(0, 0)
 	w := NewWorld(cfg)
+	if len(w.Engines) != 1 {
+		t.Fatalf("world has %d engines, want one partition", len(w.Engines))
+	}
 	for i, prog := range progs {
 		w.SpawnRank(i, prog)
 	}
 	if step {
-		for w.Eng.Step() {
+		for w.Engines[0].Step() {
 		}
-		w.finalizeSeries()
+		w.absorbShards()
 	} else {
 		w.RunSim()
 	}
@@ -73,7 +78,7 @@ func runStepOracle(t *testing.T, cfg Config, progs []Program, step bool, extra f
 	}
 	out.causal = string(b)
 	out.extra = fmt.Sprintf("end=%v executed=%d last=%v %s",
-		w.Eng.Now(), w.Eng.Executed(), w.Eng.LastModel(), extra())
+		w.Engines[0].Now(), w.Engines[0].Executed(), w.Engines[0].LastModel(), extra())
 	return out
 }
 

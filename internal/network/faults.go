@@ -3,8 +3,8 @@
 // a perfect in-order network; the FaultModel lets the same worlds run over
 // a lossy one (drop, duplicate, reorder/delay-jitter, payload corruption)
 // so the NIC reliability protocol (internal/nic) can be exercised. All
-// randomness comes from a splitmix64 stream owned by the Network, so two
-// runs with the same seed inject byte-identical fault sequences.
+// randomness comes from splitmix64 streams, one per source endpoint, so
+// two runs with the same seed inject byte-identical fault sequences.
 package network
 
 import (
@@ -254,9 +254,9 @@ func newFrand(seed int64) *frand {
 	return &frand{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567890ABCDEF}
 }
 
-// newFrandSrc derives the per-source-endpoint stream of a partitioned
-// network: the base state advanced by a second odd constant per source,
-// so streams for (seed, src) and (seed, src+1) are decorrelated.
+// newFrandSrc derives the per-source-endpoint fault stream: the base
+// state advanced by a second odd constant per source, so streams for
+// (seed, src) and (seed, src+1) are decorrelated.
 func newFrandSrc(seed int64, src int) *frand {
 	r := newFrand(seed)
 	r.state += (uint64(src) + 1) * 0xD1B54A32D192ED03
@@ -315,20 +315,18 @@ func corrupt(r *frand, p Packet) Packet {
 
 // SetFaults installs (or, with nil, removes) the fault model. Call before
 // traffic flows; changing the model mid-run would break seed determinism.
-// A partitioned network derives one independent stream per source
-// endpoint from the seed, so concurrent partitions never share a PRNG;
-// the per-source sequences are a pure function of (seed, source), not of
-// the partition layout.
+// The network derives one independent stream per source endpoint from
+// the seed, so concurrent partitions never share a PRNG; the per-source
+// sequences are a pure function of (seed, source), not of the partition
+// layout.
 func (n *Network) SetFaults(fm *FaultModel) {
 	n.faults = fm
 	if fm == nil {
-		n.frng = nil
 		for i := range n.links {
 			n.links[i].rng = nil
 		}
 		return
 	}
-	n.frng = newFrand(fm.Seed)
 	for i := range n.links {
 		n.links[i].rng = newFrandSrc(fm.Seed, i)
 	}
@@ -337,12 +335,9 @@ func (n *Network) SetFaults(fm *FaultModel) {
 // Faults returns the installed fault model (nil = reliable).
 func (n *Network) Faults() *FaultModel { return n.faults }
 
-// FaultStats reports the faults injected so far. On a partitioned network
-// the per-source counters are summed in source order.
+// FaultStats reports the faults injected so far: the per-source counters
+// summed in source order.
 func (n *Network) FaultStats() FaultStats {
-	if n.links == nil {
-		return n.fstats
-	}
 	var total FaultStats
 	for i := range n.links {
 		s := n.links[i].stats
@@ -356,65 +351,24 @@ func (n *Network) FaultStats() FaultStats {
 }
 
 // inject applies the fault model to one transmission and schedules the
-// surviving deliveries. delay is the fault-free delivery delay from now.
-func (n *Network) inject(p Packet, dst *Endpoint, delay sim.Time) {
-	f, r := n.faults, n.frng
-	// Link flap is a pure function of (seed, source, window) — checked
-	// before any stream draw, so enabling it does not perturb the other
-	// classes' random sequences. The instant checked is the fault-free
-	// delivery time, matching the partitioned path.
-	if f.linkDown(p.Src, n.eng.Now()+delay) {
-		n.fstats.FlapDropped++
-		return
-	}
-	// Draw in a fixed order so the random stream is a pure function of the
-	// transmission sequence, whatever the probabilities.
-	drop := r.float64() < f.DropProb
-	corr := r.float64() < f.CorruptProb
-	reorder := r.float64() < f.ReorderProb
-	dup := r.float64() < f.DupProb
-	var jitter, dupJitter sim.Time
-	if reorder {
-		jitter = sim.Time(1 + r.intn(int64(f.maxJitter(n.wire))))
-	}
-	if dup {
-		dupJitter = sim.Time(1 + r.intn(int64(f.maxJitter(n.wire))))
-	}
-
-	if drop {
-		n.fstats.Dropped++
-		return
-	}
-	if corr {
-		n.fstats.Corrupted++
-		p = corrupt(r, p)
-	}
-	if reorder {
-		n.fstats.Reordered++
-	}
-	n.eng.Schedule(delay+jitter, func() { dst.deliverNow(p) })
-	if dup {
-		n.fstats.Duplicated++
-		q := p
-		n.eng.Schedule(delay+jitter+dupJitter, func() { dst.deliverNow(q) })
-	}
-}
-
-// injectPartitioned is inject for a partitioned network: the same draw
-// order against the source's own stream, counters on the source's own
-// stats, and deliveries routed through deliverAt. at is the fault-free
+// surviving deliveries through deliverAt, drawing from the source's own
+// stream and counting on the source's own stats. at is the fault-free
 // absolute delivery time; faults only ever add delay (or drop), so the
 // conservative lookahead bound survives injection.
-func (n *Network) injectPartitioned(p Packet, src, dst *Endpoint, at sim.Time) {
+func (n *Network) inject(p Packet, src, dst *Endpoint, at sim.Time) {
 	f := n.faults
 	ln := &n.links[src.ID]
-	// The flap instant is the fault-free delivery time: like everything
-	// else here it is a pure function of the transmission, independent of
-	// which partition evaluates it.
+	// Link flap is a pure function of (seed, source, window) — checked
+	// before any stream draw, so enabling it does not perturb the other
+	// classes' random sequences. The flap instant is the fault-free
+	// delivery time: like everything else here it is a pure function of
+	// the transmission, independent of which partition evaluates it.
 	if f.linkDown(src.ID, at) {
 		ln.stats.FlapDropped++
 		return
 	}
+	// Draw in a fixed order so the random stream is a pure function of the
+	// transmission sequence, whatever the probabilities.
 	r := ln.rng
 	drop := r.float64() < f.DropProb
 	corr := r.float64() < f.CorruptProb

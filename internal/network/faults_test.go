@@ -20,8 +20,7 @@ func sendN(net *Network, n int) {
 // ingress protocol sheds overflow and counts it — the raw-hardware
 // behaviour the reliability engine exists to prevent.
 func TestBoundedRxQDropsWhenUnreliable(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	eng, net := newNet(2, 0, 0)
 	ep := net.Endpoint(1)
 	ep.RxQ = sim.NewFIFO[Packet](eng, "bounded", 3)
 	sendN(net, 10) // nobody drains
@@ -37,8 +36,7 @@ func TestBoundedRxQDropsWhenUnreliable(t *testing.T) {
 // TestIngressConsumesBeforeQueue: a refusing Ingress hook must consume the
 // packet before the OnDeliver replication and the FIFO see it.
 func TestIngressConsumesBeforeQueue(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	eng, net := newNet(2, 0, 0)
 	ep := net.Endpoint(1)
 	delivered := 0
 	ep.OnDeliver = func(Packet) { delivered++ }
@@ -61,8 +59,7 @@ func TestIngressConsumesBeforeQueue(t *testing.T) {
 // sequence must inject the identical fault mix; a different seed must not.
 func TestFaultInjectionDeterministic(t *testing.T) {
 	run := func(seed int64) FaultStats {
-		eng := sim.NewEngine()
-		net := New(eng, 2, 0, 0)
+		eng, net := newNet(2, 0, 0)
 		net.SetFaults(&FaultModel{Seed: seed, DropProb: 0.1, DupProb: 0.1, ReorderProb: 0.1, CorruptProb: 0.1})
 		sendN(net, 400)
 		eng.Run()
@@ -83,8 +80,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 // TestCorruptionAlwaysDetectable: every corrupted delivery must fail the
 // checksum — the fault model flips bits only in checksummed content.
 func TestCorruptionAlwaysDetectable(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	eng, net := newNet(2, 0, 0)
 	net.SetFaults(&FaultModel{Seed: 3, CorruptProb: 1})
 	sendN(net, 50)
 	eng.Run()
@@ -109,8 +105,7 @@ func TestCorruptionAlwaysDetectable(t *testing.T) {
 // TestDropAndDupExtremes: probability-1 drop delivers nothing;
 // probability-1 duplication delivers everything twice.
 func TestDropAndDupExtremes(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	eng, net := newNet(2, 0, 0)
 	net.SetFaults(&FaultModel{Seed: 1, DropProb: 1})
 	sendN(net, 20)
 	eng.Run()
@@ -118,8 +113,7 @@ func TestDropAndDupExtremes(t *testing.T) {
 		t.Errorf("drop=1 still delivered %d packets", got)
 	}
 
-	eng = sim.NewEngine()
-	net = New(eng, 2, 0, 0)
+	eng, net = newNet(2, 0, 0)
 	net.SetFaults(&FaultModel{Seed: 1, DupProb: 1})
 	sendN(net, 20)
 	eng.Run()
@@ -228,8 +222,7 @@ func TestLinkFlap(t *testing.T) {
 		t.Error("sources share a flap schedule")
 	}
 
-	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	eng, net := newNet(2, 0, 0)
 	net.SetFaults(&FaultModel{Seed: 1, LinkFlapFrac: 1})
 	sendN(net, 20)
 	eng.Run()

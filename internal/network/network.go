@@ -177,36 +177,28 @@ func (ep *Endpoint) deliverNow(p Packet) {
 	}
 }
 
-// Network connects a fixed set of endpoints.
+// Network connects a fixed set of endpoints. The world is split across
+// the per-partition engines of a sim.PartitionSet (one engine for an
+// unsplit world), so all per-transmission state is owned by the sending
+// endpoint, not the Network: links[src] holds the per-source packet
+// sequence, delivery sequence, fault stream, and fault counters.
+// Cross-partition deliveries detour through the PartitionSet outbox.
 type Network struct {
-	eng       *sim.Engine
 	wire      sim.Time
 	bwBpns    int
 	endpoints []*Endpoint
-	seq       uint64
 
-	// Fault injection (nil/zero = the reliable in-order default).
+	// Fault injection (nil = the reliable in-order default).
 	faults *FaultModel
-	frng   *frand
-	fstats FaultStats
 
-	phases *telemetry.Phases
-	causal *telemetry.Causal
-
-	// Partitioned mode (NewPartitioned): the world is split across
-	// per-partition engines under conservative synchronization, and all
-	// per-transmission network state must be owned by the sending
-	// endpoint, not the Network — links[src] holds the per-source packet
-	// sequence, delivery sequence, fault stream, and fault counters.
-	// Cross-partition deliveries detour through the PartitionSet outbox.
 	ps     *sim.PartitionSet
 	partOf []int     // endpoint -> partition
-	links  []srcLink // per source endpoint; nil in single-engine mode
+	links  []srcLink // per source endpoint
 }
 
-// srcLink is the per-source-endpoint transmission state of a partitioned
-// network. Everything here is touched only from the source endpoint's
-// partition, so windows never contend on it.
+// srcLink is the per-source-endpoint transmission state. Everything here
+// is touched only from the source endpoint's partition, so windows never
+// contend on it.
 type srcLink struct {
 	seq   uint64 // per-source packet sequence (Packet.Seq minor bits)
 	dseq  uint64 // per-source delivery sequence (canonical tie-break)
@@ -214,34 +206,13 @@ type srcLink struct {
 	stats FaultStats
 }
 
-// New builds a network of n endpoints with the calibrated wire latency and
-// bandwidth; zero values select the Table III defaults.
-func New(eng *sim.Engine, n int, wire sim.Time, bwBpns int) *Network {
-	if wire == 0 {
-		wire = params.WireLatency
-	}
-	if bwBpns == 0 {
-		bwBpns = params.LinkBandwidthBpns
-	}
-	net := &Network{eng: eng, wire: wire, bwBpns: bwBpns}
-	for i := 0; i < n; i++ {
-		net.endpoints = append(net.endpoints, &Endpoint{
-			ID:      i,
-			RxQ:     sim.NewFIFO[Packet](eng, fmt.Sprintf("net%d.rx", i), 0),
-			Arrived: sim.NewSignal(eng),
-			eng:     eng,
-		})
-	}
-	return net
-}
-
-// NewPartitioned builds a network whose endpoints live on the per-partition
+// New builds a network of len(partOf) endpoints on the per-partition
 // engines of ps: endpoint i runs on ps.Engines()[partOf[i]]. The wire
 // latency doubles as the conservative lookahead — every delivery lands at
 // least wire after the event that sent it — so ps must have been built
-// with lookahead <= wire. Zero wire/bandwidth select the Table III
-// defaults, as in New.
-func NewPartitioned(ps *sim.PartitionSet, partOf []int, wire sim.Time, bwBpns int) *Network {
+// with lookahead <= wire. Zero wire/bandwidth select the calibrated
+// Table III defaults.
+func New(ps *sim.PartitionSet, partOf []int, wire sim.Time, bwBpns int) *Network {
 	if wire == 0 {
 		wire = params.WireLatency
 	}
@@ -268,17 +239,9 @@ func NewPartitioned(ps *sim.PartitionSet, partOf []int, wire sim.Time, bwBpns in
 	return net
 }
 
-// SetPhases installs a latency-phase recorder; the network stamps wire
-// transmit and arrival boundaries for envelope-carrying packets.
-func (n *Network) SetPhases(p *telemetry.Phases) {
-	n.phases = p
-	for _, ep := range n.endpoints {
-		ep.phases = p
-	}
-}
-
-// SetPhasesSharded installs one latency-phase recorder per partition on a
-// partitioned network: endpoint i stamps shards[partOf[i]]. Send-side
+// SetPhasesSharded installs one latency-phase recorder per partition: the
+// network stamps wire transmit and arrival boundaries for
+// envelope-carrying packets, endpoint i into shards[partOf[i]]. Send-side
 // stamps (WireTx) go to the sender's shard, receive-side stamps to the
 // receiver's; Phases.Absorb reassembles them after the run.
 func (n *Network) SetPhasesSharded(shards []*telemetry.Phases) {
@@ -287,16 +250,8 @@ func (n *Network) SetPhasesSharded(shards []*telemetry.Phases) {
 	}
 }
 
-// SetCausal installs a causal recorder; the network contributes the same
-// wire-boundary stamps it gives the phase recorder.
-func (n *Network) SetCausal(c *telemetry.Causal) {
-	n.causal = c
-	for _, ep := range n.endpoints {
-		ep.causal = c
-	}
-}
-
-// SetCausalSharded installs one causal recorder per partition, mirroring
+// SetCausalSharded installs one causal recorder per partition: the same
+// wire-boundary stamps the phase recorder gets, sharded as in
 // SetPhasesSharded; Causal.Absorb reassembles the shards after the run.
 func (n *Network) SetCausalSharded(shards []*telemetry.Causal) {
 	for i, ep := range n.endpoints {
@@ -317,52 +272,14 @@ func (n *Network) Wire() sim.Time { return n.wire }
 // Send transmits pkt from its Src endpoint at the current time. The
 // source link serialises transmissions; the packet arrives at Dst after
 // the transmit time plus the wire latency.
+//
+// Send runs on the source endpoint's partition and uses only per-source
+// state, so concurrent windows never contend; Packet.Seq stays globally
+// unique (it is a trace correlation key) by carrying the source id in its
+// top bits. The delivery is scheduled directly when the destination
+// shares the partition and deferred to the barrier outbox otherwise —
+// both paths order by the same canonical (time, source, sequence) key.
 func (n *Network) Send(pkt Packet) {
-	if n.links != nil {
-		n.sendPartitioned(pkt)
-		return
-	}
-	src := n.endpoints[pkt.Src]
-	dst := n.endpoints[pkt.Dst]
-	n.seq++
-	pkt.Seq = n.seq
-
-	now := n.eng.Now()
-	if n.phases != nil || n.causal != nil {
-		// WireTx is stamped when the NIC hands the packet to the link, so
-		// transmit serialisation waits land in the wire phase. First-wins
-		// keeps retransmits from moving the stamp.
-		if key, ok := phaseKey(pkt); ok {
-			n.phases.Stamp(key, telemetry.StampWireTx, now)
-			n.causal.Stamp(key, telemetry.StampWireTx, now)
-		}
-	}
-	start := now
-	if src.txBusyUntil > start {
-		start = src.txBusyUntil
-	}
-	txTime := sim.Time((HeaderBytes+max(pkt.Size, 0))/n.bwBpns) * sim.Nanosecond
-	src.txBusyUntil = start + txTime
-	src.txBytes += uint64(HeaderBytes + max(pkt.Size, 0))
-	src.txPackets++
-
-	deliver := src.txBusyUntil + n.wire - now
-	p := pkt
-	if n.faults.Active() {
-		n.inject(p, dst, deliver)
-		return
-	}
-	n.eng.Schedule(deliver, func() { dst.deliverNow(p) })
-}
-
-// sendPartitioned is Send on a partitioned network. It runs on the source
-// endpoint's partition and uses only per-source state, so concurrent
-// windows never contend; Packet.Seq stays globally unique (it is a trace
-// correlation key) by carrying the source id in its top bits. The
-// delivery is scheduled directly when the destination shares the
-// partition and deferred to the barrier outbox otherwise — both paths
-// order by the same canonical (time, source, sequence) key.
-func (n *Network) sendPartitioned(pkt Packet) {
 	src := n.endpoints[pkt.Src]
 	dst := n.endpoints[pkt.Dst]
 	ln := &n.links[pkt.Src]
@@ -371,6 +288,9 @@ func (n *Network) sendPartitioned(pkt Packet) {
 
 	now := src.eng.Now()
 	if src.phases != nil || src.causal != nil {
+		// WireTx is stamped when the NIC hands the packet to the link, so
+		// transmit serialisation waits land in the wire phase. First-wins
+		// keeps retransmits from moving the stamp.
 		if key, ok := phaseKey(pkt); ok {
 			src.phases.Stamp(key, telemetry.StampWireTx, now)
 			src.causal.Stamp(key, telemetry.StampWireTx, now)
@@ -389,14 +309,14 @@ func (n *Network) sendPartitioned(pkt Packet) {
 	// which is what licenses the conservative horizon.
 	at := src.txBusyUntil + n.wire
 	if n.faults.Active() {
-		n.injectPartitioned(pkt, src, dst, at)
+		n.inject(pkt, src, dst, at)
 		return
 	}
 	n.deliverAt(src, dst, at, pkt)
 }
 
-// deliverAt schedules one delivery on a partitioned network, directly on
-// the shared engine or via the barrier outbox.
+// deliverAt schedules one delivery, directly on the shared engine or via
+// the barrier outbox.
 func (n *Network) deliverAt(src, dst *Endpoint, at sim.Time, p Packet) {
 	ln := &n.links[src.ID]
 	ln.dseq++

@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"alpusim/internal/match"
+	"alpusim/internal/params"
 	"alpusim/internal/sim"
 )
 
 func TestWireLatency(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 200*sim.Nanosecond, 2)
+	eng, net := newNet(2, 200*sim.Nanosecond, 2)
 	var arrived sim.Time
 	net.Send(Packet{Kind: Eager, Src: 0, Dst: 1, Size: 0})
 	eng.Spawn("rx", func(p *sim.Process) {
@@ -24,8 +24,7 @@ func TestWireLatency(t *testing.T) {
 }
 
 func TestInOrderDelivery(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	eng, net := newNet(2, 0, 0)
 	for i := 0; i < 10; i++ {
 		net.Send(Packet{Kind: Eager, Src: 0, Dst: 1, Hdr: match.Header{Tag: int32(i)}})
 	}
@@ -51,8 +50,7 @@ func TestInOrderDelivery(t *testing.T) {
 }
 
 func TestTxSerialisation(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 200*sim.Nanosecond, 2)
+	eng, net := newNet(2, 200*sim.Nanosecond, 2)
 	// Two large packets back to back: second is delayed by the first's
 	// transmit occupancy.
 	net.Send(Packet{Kind: Data, Src: 0, Dst: 1, Size: 2016}) // (32+2016)/2 = 1024ns tx
@@ -79,8 +77,7 @@ func TestTxSerialisation(t *testing.T) {
 }
 
 func TestOnDeliverHookRunsBeforeQueue(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	eng, net := newNet(2, 0, 0)
 	hookSawEmptyQueue := false
 	net.Endpoint(1).OnDeliver = func(p Packet) {
 		hookSawEmptyQueue = net.Endpoint(1).RxQ.Len() == 0
@@ -96,8 +93,7 @@ func TestOnDeliverHookRunsBeforeQueue(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, 3, 0, 0)
+	eng, net := newNet(3, 0, 0)
 	net.Send(Packet{Src: 0, Dst: 1, Size: 100})
 	net.Send(Packet{Src: 0, Dst: 2, Size: 50})
 	eng.Run()
@@ -118,4 +114,15 @@ func TestPacketKindString(t *testing.T) {
 			t.Errorf("%d.String() = %q", int(k), k.String())
 		}
 	}
+}
+
+// newNet builds an n-endpoint network on one engine: the one-partition
+// world mpi.NewWorld builds at Partitions 1.
+func newNet(n int, wire sim.Time, bwBpns int) (*sim.Engine, *Network) {
+	eng := sim.NewEngine()
+	lookahead := wire
+	if lookahead == 0 {
+		lookahead = params.WireLatency
+	}
+	return eng, New(sim.NewPartitionSet([]*sim.Engine{eng}, lookahead), make([]int, n), wire, bwBpns)
 }

@@ -30,7 +30,7 @@ type event struct {
 	at   Time
 	k1   uint64   // 0 for ordinary events; deliveryClass|src for deliveries
 	k2   uint64   // schedule seq (ordinary) or per-source delivery seq
-	fn   func()   // nil for process wakes and for cancelled ladder events
+	fn   func()   // nil for process wakes
 	proc *Process // non-nil for a process wake: resume proc at park gen
 	gen  uint64
 	id   EventID // non-zero only for cancellable events
@@ -84,11 +84,8 @@ const arenaBlock = 256
 // goroutines (see internal/sweep) and a single world may be split across
 // per-partition engines (see PartitionSet).
 //
-// Two event-queue kernels are available behind the same API: the
-// container/heap queue (NewEngine — the reference oracle) and the ladder
-// queue (NewLadderEngine — O(1) amortized, for event-dense large worlds).
-// Both order events by the same composite key, so they are interchangeable
-// bit for bit; TestLadderMatchesHeap pins that equivalence.
+// There is one event-queue kernel, used by every engine: a container/heap
+// queue ordered by the composite (at, k1, k2) key above.
 //
 // A process wake is an event record carrying (process, park generation)
 // rather than a closure, so parking allocates nothing; and a Sleep whose
@@ -97,7 +94,6 @@ const arenaBlock = 256
 type Engine struct {
 	now     Time
 	events  eventHeap
-	ladder  *ladderQueue // non-nil selects the ladder kernel
 	seq     uint64
 	nextID  EventID
 	byID    map[EventID]*event // lazily allocated; cancellable events only
@@ -133,19 +129,9 @@ type Engine struct {
 	procs []*Process
 }
 
-// NewEngine returns an empty simulation at time zero, using the
-// container/heap event queue (the reference kernel).
+// NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
 	return &Engine{}
-}
-
-// NewLadderEngine returns an empty simulation at time zero, using the
-// ladder event queue. Event ordering is identical to NewEngine; only the
-// asymptotics differ (amortized O(1) enqueue/dequeue vs O(log n)).
-func NewLadderEngine() *Engine {
-	e := &Engine{}
-	e.ladder = &ladderQueue{recycle: e.recycle}
-	return e
 }
 
 // Now returns the current simulated time.
@@ -179,11 +165,7 @@ func (e *Engine) push(t Time, fn func()) *event {
 	ev := e.alloc()
 	e.seq++
 	ev.at, ev.k1, ev.k2, ev.fn, ev.id, ev.poll = t, 0, e.seq, fn, 0, false
-	if e.ladder != nil {
-		e.ladder.push(ev)
-	} else {
-		heap.Push(&e.events, ev)
-	}
+	heap.Push(&e.events, ev)
 	return ev
 }
 
@@ -241,11 +223,7 @@ func (e *Engine) AtDelivery(t Time, src uint32, dseq uint64, fn func()) {
 	}
 	ev := e.alloc()
 	ev.at, ev.k1, ev.k2, ev.fn, ev.id, ev.poll = t, deliveryClass|uint64(src), dseq, fn, 0, false
-	if e.ladder != nil {
-		e.ladder.push(ev)
-	} else {
-		heap.Push(&e.events, ev)
-	}
+	heap.Push(&e.events, ev)
 }
 
 // ScheduleCancellable is Schedule for events that may later be revoked with
@@ -272,20 +250,12 @@ func (e *Engine) AtCancellable(t Time, fn func()) EventID {
 
 // Cancel removes a pending cancellable event. Cancelling an event that
 // already fired or was already cancelled is a no-op and reports false.
-// The heap kernel removes the event physically; the ladder kernel marks it
-// dead in place and reclaims it lazily when its timestamp is reached.
 func (e *Engine) Cancel(id EventID) bool {
 	ev, ok := e.byID[id]
 	if !ok {
 		return false
 	}
 	delete(e.byID, id)
-	if e.ladder != nil {
-		ev.fn = nil
-		ev.id = 0
-		e.ladder.live--
-		return true
-	}
 	if ev.idx >= 0 {
 		heap.Remove(&e.events, ev.idx)
 	}
@@ -295,18 +265,12 @@ func (e *Engine) Cancel(id EventID) bool {
 
 // Pending reports the number of scheduled (live) events.
 func (e *Engine) Pending() int {
-	if e.ladder != nil {
-		return e.ladder.live
-	}
 	return len(e.events)
 }
 
 // PeekTime reports the timestamp of the earliest pending event, or ok=false
 // when the queue is empty. It does not advance the clock.
 func (e *Engine) PeekTime() (Time, bool) {
-	if e.ladder != nil {
-		return e.ladder.peek()
-	}
 	if len(e.events) == 0 {
 		return 0, false
 	}
@@ -346,9 +310,9 @@ func (e *Engine) SchedulePoll(d Time, fn func()) {
 // AtPollFront schedules a front-class poll at absolute time t (>= Now): it
 // carries the zero tie-break key (k1 = 0, k2 = 0), sorting before every
 // ordinary event (k2 >= 1) and every delivery (k1 >= deliveryClass) at the
-// same instant, in both event kernels. A front poll therefore observes the
-// world exactly as left by the events strictly before t — a state that does
-// not depend on how the world is partitioned. At most one front poll may be
+// same instant. A front poll therefore observes the world exactly as left
+// by the events strictly before t — a state that does not depend on how
+// the world is partitioned. At most one front poll may be
 // pending per engine at any one instant (two would tie ambiguously); the
 // time-series sampler, its only client, re-arms a single chain of them.
 // Front polls are housekeeping: counted in pollers, excluded from Alive and
@@ -364,11 +328,7 @@ func (e *Engine) AtPollFront(t Time, fn func()) {
 		e.pollers--
 		fn()
 	}
-	if e.ladder != nil {
-		e.ladder.push(ev)
-	} else {
-		heap.Push(&e.events, ev)
-	}
+	heap.Push(&e.events, ev)
 }
 
 // LastModel reports the timestamp of the latest executed modelled event
@@ -385,18 +345,10 @@ func (e *Engine) Alive() int { return e.Pending() - e.pollers }
 // Step executes the single earliest event. It reports false when no events
 // remain.
 func (e *Engine) Step() bool {
-	var ev *event
-	if e.ladder != nil {
-		ev = e.ladder.pop()
-		if ev == nil {
-			return false
-		}
-	} else {
-		if len(e.events) == 0 {
-			return false
-		}
-		ev = heap.Pop(&e.events).(*event)
+	if len(e.events) == 0 {
+		return false
 	}
+	ev := heap.Pop(&e.events).(*event)
 	if ev.id != 0 {
 		delete(e.byID, ev.id)
 	}

@@ -47,8 +47,8 @@ func BenchmarkEngineCancellable(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueMicro runs the event-queue kernel micro set (heap vs
-// ladder, plus the partition-window overhead) — the same cases the
+// BenchmarkQueueMicro runs the event-queue kernel micro set (plus the
+// partition-window overhead) — the same cases the
 // alpusim bench harness folds into BENCH.json.
 func BenchmarkQueueMicro(b *testing.B) {
 	for _, c := range QueueMicroCases() {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks of the event-queue kernels — heap vs ladder at several
-// steady-state queue depths, the cancellable churn path, and the
+// Micro-benchmarks of the event-queue kernel at several steady-state
+// queue depths, the cancellable churn path, and the
 // partition-runner barrier window. They live in a non-test file so the
 // alpusim bench harness can fold the results into BENCH.json; go test
 // -bench reaches them through BenchmarkQueueMicro. The numbers measure
@@ -25,20 +25,12 @@ type MicroCase struct {
 	Bench func(b *testing.B)
 }
 
-// newQueueEngine builds an engine on the named kernel.
-func newQueueEngine(kernel string) *Engine {
-	if kernel == "ladder" {
-		return NewLadderEngine()
-	}
-	return NewEngine()
-}
-
 // benchHold measures the schedule+step steady state with depth events
 // held in flight — the regime where the heap pays O(log depth) sift work
-// per operation and the ladder stays O(1).
-func benchHold(kernel string, depth int) func(*testing.B) {
+// per operation.
+func benchHold(depth int) func(*testing.B) {
 	return func(b *testing.B) {
-		e := newQueueEngine(kernel)
+		e := NewEngine()
 		fn := func() {}
 		for i := 0; i < depth; i++ {
 			e.Schedule(Time(i)*Nanosecond, fn)
@@ -53,23 +45,19 @@ func benchHold(kernel string, depth int) func(*testing.B) {
 }
 
 // benchCancel measures the schedule-cancel churn path (timeouts that are
-// almost always revoked). The ladder cancels lazily, so the queue carries
-// tombstones between iterations.
-func benchCancel(kernel string) func(*testing.B) {
-	return func(b *testing.B) {
-		e := newQueueEngine(kernel)
-		fn := func() {}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := e.ScheduleCancellable(Nanosecond, fn)
-			e.Cancel(id)
-			if i%64 == 63 {
-				// Let the clock pass the tombstones so the ladder
-				// reclaims them, as a live world would.
-				e.Schedule(Nanosecond, fn)
-				e.Step()
-			}
+// almost always revoked), with the clock moving on now and then as in a
+// live world.
+func benchCancel(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := e.ScheduleCancellable(Nanosecond, fn)
+		e.Cancel(id)
+		if i%64 == 63 {
+			e.Schedule(Nanosecond, fn)
+			e.Step()
 		}
 	}
 }
@@ -83,7 +71,7 @@ func benchPartitionWindow(p int) func(*testing.B) {
 	return func(b *testing.B) {
 		engines := make([]*Engine, p)
 		for i := range engines {
-			engines[i] = NewLadderEngine()
+			engines[i] = NewEngine()
 		}
 		ps := NewPartitionSet(engines, 200*Nanosecond)
 		// p chains hop in lockstep, so each window finds every chain in a
@@ -120,18 +108,13 @@ func benchPartitionWindow(p int) func(*testing.B) {
 // QueueMicroCases is the event-queue micro-benchmark set.
 func QueueMicroCases() []MicroCase {
 	var cases []MicroCase
-	for _, kernel := range []string{"heap", "ladder"} {
-		for _, depth := range []int{8, 64, 1024} {
-			cases = append(cases, MicroCase{
-				Name:  fmt.Sprintf("queue/%s/hold%d", kernel, depth),
-				Bench: benchHold(kernel, depth),
-			})
-		}
+	for _, depth := range []int{8, 64, 1024} {
 		cases = append(cases, MicroCase{
-			Name:  fmt.Sprintf("queue/%s/cancel", kernel),
-			Bench: benchCancel(kernel),
+			Name:  fmt.Sprintf("queue/heap/hold%d", depth),
+			Bench: benchHold(depth),
 		})
 	}
+	cases = append(cases, MicroCase{Name: "queue/heap/cancel", Bench: benchCancel})
 	for _, p := range []int{2, 8} {
 		cases = append(cases, MicroCase{
 			Name:  fmt.Sprintf("partition/window%d", p),

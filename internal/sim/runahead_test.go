@@ -10,8 +10,7 @@ import (
 // The run-ahead oracle. A Sleep whose wake is provably the next event
 // executed skips the queue (Process.Sleep); the property pinned here is
 // that nothing observable changes. Seeded multi-process programs run under
-// Run, windowed RunUntil and windowed RunBefore on both kernels, and must
-// log exactly what the same program logs under bare Steps, where the
+// Run, windowed RunUntil and windowed RunBefore, and must log exactly what the same program logs under bare Steps, where the
 // horizon is zero and run-ahead never fires. Each loop is also checked
 // against a reference copy of itself built from bare Steps, so the point
 // where every loop call returns (Stop included) is pinned as well.
@@ -326,10 +325,6 @@ func firstDiff(a, b []raEntry) string {
 }
 
 func TestRunAheadOracle(t *testing.T) {
-	kernels := []struct {
-		name string
-		mk   func() *Engine
-	}{{"heap", NewEngine}, {"ladder", NewLadderEngine}}
 	seeds := 150
 	if testing.Short() {
 		seeds = 30
@@ -344,23 +339,21 @@ func TestRunAheadOracle(t *testing.T) {
 			t.Fatalf("seed %d: %d processes never returned", seed, oracle.live)
 		}
 		want := oracle.log
-		for _, k := range kernels {
-			for _, m := range raModes {
-				var logs [2][]raEntry
-				for i, ref := range []bool{false, true} {
-					r := &raRun{e: k.mk(), stops: m.stops}
-					r.start(pr)
-					m.drive(r, pr, ref)
-					logs[i] = r.log
-				}
-				if !reflect.DeepEqual(logs[0], logs[1]) {
-					t.Fatalf("seed %d %s/%s: loop diverges from its bare-Step reference: %s",
-						seed, k.name, m.name, firstDiff(logs[0], logs[1]))
-				}
-				if got := actions(logs[0]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %s/%s: actions diverge from the bare-Step oracle: %s",
-						seed, k.name, m.name, firstDiff(got, want))
-				}
+		for _, m := range raModes {
+			var logs [2][]raEntry
+			for i, ref := range []bool{false, true} {
+				r := &raRun{e: NewEngine(), stops: m.stops}
+				r.start(pr)
+				m.drive(r, pr, ref)
+				logs[i] = r.log
+			}
+			if !reflect.DeepEqual(logs[0], logs[1]) {
+				t.Fatalf("seed %d %s: loop diverges from its bare-Step reference: %s",
+					seed, m.name, firstDiff(logs[0], logs[1]))
+			}
+			if got := actions(logs[0]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %s: actions diverge from the bare-Step oracle: %s",
+					seed, m.name, firstDiff(got, want))
 			}
 		}
 	}

@@ -213,7 +213,7 @@ func (sa *Sampler) Attach(eng *sim.Engine) {
 // the PartitionSet.OnInject hook, called when a barrier injects
 // deliveries into a drained partition. The chain resumes at the tick
 // index where it stopped; the engine was frozen in between, so the
-// resumed ticks sample exactly the values the serial run would have.
+// resumed ticks sample exactly the values an unsplit run would have.
 func (sa *Sampler) Rearm() {
 	if sa == nil || sa.eng == nil || sa.armed {
 		return
@@ -224,7 +224,7 @@ func (sa *Sampler) Rearm() {
 
 // Finalize pads every series to the canonical push count for a world
 // whose last modelled event fired at tEnd: floor(tEnd/dt)+1 — exactly
-// the ticks a serial run performs. Padding re-reads the probe: the world
+// the ticks an unsplit run performs. Padding re-reads the probe: the world
 // is drained, so the probe reads the frozen state every missed tick
 // would have observed. Idempotent once the canonical count is reached.
 func (sa *Sampler) Finalize(tEnd sim.Time) {

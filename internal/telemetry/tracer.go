@@ -295,27 +295,3 @@ func usec(t sim.Time) string {
 	}
 	return fmt.Sprintf("%d.%06d", t/sim.Microsecond, t%sim.Microsecond)
 }
-
-// TraceEngine samples the engine's pending-event and executed-event
-// counters onto tracer counter tracks every `every` of simulated time,
-// under a reserved pid. Sampling re-arms only while events remain, so it
-// never keeps a drained world alive. It costs nothing when t is nil.
-func TraceEngine(eng *sim.Engine, t *Tracer, every sim.Time) {
-	if t == nil || eng == nil {
-		return
-	}
-	if every <= 0 {
-		every = sim.Microsecond
-	}
-	const pid = 999
-	t.NameProcess(pid, "sim-engine")
-	var sample func()
-	sample = func() {
-		t.Count(pid, 0, "pending", eng.Now(), int64(eng.Pending()))
-		t.Count(pid, 0, "executed", eng.Now(), int64(eng.Executed()))
-		if eng.Alive() > 0 {
-			eng.SchedulePoll(every, sample)
-		}
-	}
-	eng.SchedulePoll(0, sample)
-}

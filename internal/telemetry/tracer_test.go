@@ -168,33 +168,6 @@ func TestFlightRecorderKeepsMetadata(t *testing.T) {
 	}
 }
 
-// TraceEngine samples the scheduler's counters while events remain and
-// stops re-arming once the world drains.
-func TestTraceEngine(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := NewTracer()
-	TraceEngine(eng, tr, sim.Microsecond)
-	for i := 0; i < 5; i++ {
-		eng.Schedule(sim.Time(i)*sim.Microsecond, func() {})
-	}
-	eng.Run()
-	if tr.Len() < 4 {
-		t.Fatalf("engine sampler recorded %d events, want several", tr.Len())
-	}
-	var b bytes.Buffer
-	tr.WriteJSON(&b)
-	if !strings.Contains(b.String(), `"name":"pending"`) ||
-		!strings.Contains(b.String(), `"name":"executed"`) {
-		t.Errorf("sampler counters missing:\n%s", b.String())
-	}
-	// nil tracer: no events scheduled, engine drains untouched.
-	eng2 := sim.NewEngine()
-	TraceEngine(eng2, nil, 0)
-	if eng2.Pending() != 0 {
-		t.Error("nil tracer still scheduled sampler events")
-	}
-}
-
 // Flow events render as Perfetto 's'/'f' pairs sharing a correlation id,
 // with the terminating end carrying the enclosing-slice binding point.
 func TestTracerFlowEvents(t *testing.T) {

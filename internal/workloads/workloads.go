@@ -66,15 +66,10 @@ func WithSeries(s *telemetry.Sampler) Option {
 	return func(cfg *mpi.Config) { cfg.Series = s }
 }
 
-// WithPartitions runs the workload's world as a conservative parallel
-// simulation over n per-partition engines (see mpi.Config.Partitions);
-// n <= 0 keeps the serial engine.
+// WithPartitions splits the workload's world into n partitions (see
+// mpi.Config.Partitions; n < 1 means one). Output is identical for any n.
 func WithPartitions(n int) Option {
-	return func(cfg *mpi.Config) {
-		if n > 0 {
-			cfg.Partitions = n
-		}
-	}
+	return func(cfg *mpi.Config) { cfg.Partitions = n }
 }
 
 // Report summarises one workload run.
