@@ -9,18 +9,20 @@ import (
 // the same instant, since the time-series sampler relies on the ordering
 // to observe partition-invariant state.
 func TestPollFrontOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Schedule(100, func() { order = append(order, "ord1") })
-	e.AtDelivery(100, 3, 1, func() { order = append(order, "del") })
-	e.Schedule(100, func() { order = append(order, "ord2") })
-	e.AtPollFront(100, func() { order = append(order, "poll") })
-	e.Schedule(50, func() { order = append(order, "early") })
-	e.Run()
-	want := []string{"early", "poll", "ord1", "ord2", "del"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("firing order %v, want %v", order, want)
-	}
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
+		var order []string
+		e.Schedule(100, func() { order = append(order, "ord1") })
+		e.AtDelivery(100, 3, 1, func() { order = append(order, "del") })
+		e.Schedule(100, func() { order = append(order, "ord2") })
+		e.AtPollFront(100, func() { order = append(order, "poll") })
+		e.Schedule(50, func() { order = append(order, "early") })
+		e.Run()
+		want := []string{"early", "poll", "ord1", "ord2", "del"}
+		if !reflect.DeepEqual(order, want) {
+			t.Errorf("firing order %v, want %v", order, want)
+		}
+	})
 }
 
 // Front polls are housekeeping: excluded from Alive, and excluded from
