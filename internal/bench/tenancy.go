@@ -118,9 +118,9 @@ func tenancyRow(cfg TenancyBenchConfig, name string, alpuOn bool, shards int) Te
 	row := TenancyRow{
 		Config: name, Shards: nc.MatchShards, Digest: rep.Digest,
 		Elapsed: rep.Elapsed, PeakPosted: rep.PeakPosted,
-		P50: matchLatNs(rep.Report, 0.5),
-		P95: matchLatNs(rep.Report, 0.95),
-		P99: matchLatNs(rep.Report, 0.99),
+		P50:    matchLatNs(rep.Report, 0.5),
+		P95:    matchLatNs(rep.Report, 0.95),
+		P99:    matchLatNs(rep.Report, 0.99),
 		Series: sa,
 	}
 	if nc.MatchShards > 1 {

@@ -28,18 +28,22 @@ type Config struct {
 	Policy   Policy
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
 // Cache is a single level of set-associative cache.
+//
+// The ways are stored flat and set-major: way w of set s lives at index
+// s*assoc+w of tags, lru and dirty. A tag is stored plus one, so 0 marks an
+// invalid way and a lookup is one scan with no valid bit to test. Lines
+// are only ever invalidated together (Flush), and a miss fills the first
+// invalid way, so a set's valid ways are always a prefix and fill[s] is
+// its first invalid way. The arrays are allocated on the first Access, so
+// a hierarchy that is built but never used costs no line state.
 type Cache struct {
 	cfg     Config
-	sets    [][]line
 	numSets int
+	tags    []uint64 // line tag+1 per way; 0 = invalid
+	lru     []uint64 // last-use tick per way
+	dirty   []bool   // per way
+	fill    []int32  // valid ways per set
 	ticks   uint64
 	rng     uint64 // xorshift state for Random replacement (deterministic)
 
@@ -50,22 +54,24 @@ type Cache struct {
 }
 
 // New returns an empty cache. It panics on a geometry that does not divide
-// evenly, since that is a configuration bug.
+// evenly or a line size that is not a power of two (Touch and memsys round
+// addresses down to a line with a mask), since that is a configuration bug.
 func New(cfg Config) *Cache {
 	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
+	}
+	if cfg.LineSize&(cfg.LineSize-1) != 0 {
+		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineSize))
 	}
 	lines := cfg.Size / cfg.LineSize
 	if lines%cfg.Assoc != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by assoc %d", lines, cfg.Assoc))
 	}
-	numSets := lines / cfg.Assoc
-	sets := make([][]line, numSets)
-	backing := make([]line, lines)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
+	return &Cache{
+		cfg:     cfg,
+		numSets: lines / cfg.Assoc,
+		rng:     0x9e3779b97f4a7c15,
 	}
-	return &Cache{cfg: cfg, sets: sets, numSets: numSets, rng: 0x9e3779b97f4a7c15}
 }
 
 // nextRand is a deterministic xorshift64 step.
@@ -95,54 +101,72 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.accesses++
 	c.ticks++
 	setIdx, tag := c.index(addr)
-	set := c.sets[setIdx]
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.hits++
-			set[i].lru = c.ticks
-			if write {
-				set[i].dirty = true
+	stored := tag + 1
+	// Before the first miss there are no ways to scan.
+	if base, end := setIdx*c.cfg.Assoc, (setIdx+1)*c.cfg.Assoc; end <= len(c.tags) {
+		for i, t := range c.tags[base:end] {
+			if t == stored {
+				c.hits++
+				c.lru[base+i] = c.ticks
+				if write {
+					c.dirty[base+i] = true
+				}
+				return Result{Hit: true}
 			}
-			return Result{Hit: true}
 		}
 	}
+	return c.miss(setIdx, stored, write)
+}
 
-	// Miss: pick the invalid way, else the policy's victim.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
+// miss stores stored (a tag+1) in the first invalid way of set setIdx,
+// else in the policy's victim. It is kept out of Access so the hit path
+// carries no allocation call and no eviction state.
+func (c *Cache) miss(setIdx int, stored uint64, write bool) Result {
+	if c.tags == nil {
+		n := c.numSets * c.cfg.Assoc
+		c.tags = make([]uint64, n)
+		c.lru = make([]uint64, n)
+		c.dirty = make([]bool, n)
+		c.fill = make([]int32, c.numSets)
 	}
-	if victim < 0 {
+	base := setIdx * c.cfg.Assoc
+	res := Result{}
+	way := int(c.fill[setIdx])
+	if way < c.cfg.Assoc {
+		c.fill[setIdx]++
+	} else {
 		if c.cfg.Policy == Random {
-			victim = int(c.nextRand() % uint64(len(set)))
+			way = int(c.nextRand() % uint64(c.cfg.Assoc))
 		} else {
-			victim = 0
-			for i := range set {
-				if set[i].lru < set[victim].lru {
-					victim = i
+			lru := c.lru[base : base+c.cfg.Assoc]
+			way = 0
+			for i, t := range lru {
+				if t < lru[way] {
+					way = i
 				}
 			}
 		}
+		if c.dirty[base+way] {
+			res.Writeback = true
+			res.Victim = c.victimAddr(setIdx, c.tags[base+way]-1)
+			c.writebacks++
+		}
 	}
-	res := Result{}
-	if set[victim].valid && set[victim].dirty {
-		res.Writeback = true
-		res.Victim = c.victimAddr(setIdx, set[victim].tag)
-		c.writebacks++
-	}
-	set[victim] = line{tag: tag, valid: true, dirty: write, lru: c.ticks}
+	c.tags[base+way] = stored
+	c.lru[base+way] = c.ticks
+	c.dirty[base+way] = write
 	return res
 }
 
 // Probe reports whether addr is present without touching LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
+	if c.tags == nil {
+		return false
+	}
 	setIdx, tag := c.index(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
+	base := setIdx * c.cfg.Assoc
+	for _, t := range c.tags[base : base+c.cfg.Assoc] {
+		if t == tag+1 {
 			return true
 		}
 	}
@@ -168,11 +192,8 @@ func (c *Cache) Touch(addr uint64, size int, write bool) (misses int) {
 
 // Flush invalidates everything (statistics are preserved).
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.tags)
+	clear(c.fill)
 }
 
 // LineSize returns the configured line size in bytes.

@@ -161,12 +161,25 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with zero line size did not panic")
-		}
-	}()
-	New(Config{Size: 1024, Assoc: 2, LineSize: 0})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero line size", Config{Size: 1024, Assoc: 2, LineSize: 0}},
+		// Touch and memsys round addresses down to a line with a mask,
+		// which walks the wrong lines unless the line size is a power of 2.
+		{"48-byte line", Config{Size: 48 * 64, Assoc: 2, LineSize: 48}},
+		{"lines not divisible by assoc", Config{Size: 96, Assoc: 2, LineSize: 32}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with %s did not panic", tc.name)
+				}
+			}()
+			New(tc.cfg)
+		}()
+	}
 }
 
 // Property: the cache never holds more distinct lines than its capacity,

@@ -3,7 +3,8 @@
 # process-layer sleep and signal ping-pong, the event-queue and
 # partition-runner micro-benchmarks, the ALPU device
 # micro-benchmarks, the matching-fabric dispatch/overflow and dispatch-
-# cache micro-benchmarks, and the quick Fig. 5 sweep cuts — and appends
+# cache micro-benchmarks, the NIC-geometry cache walk and cache
+# construction, and the quick Fig. 5 sweep cuts — and appends
 # the raw `go test -bench` output to the given file (default
 # BENCH_CURRENT.txt). CI compares that output against the committed
 # BENCH_BASELINE.txt with cmd/benchgate; regenerate the baseline by
@@ -29,4 +30,8 @@ go test -run '^$' -bench 'BenchmarkMicro/' -benchtime 2000x -count 3 ./internal/
 # to ~100 ns each, so time-based benchtime again.
 go test -run '^$' -bench 'BenchmarkFabric' -benchtime 0.2s -count 3 ./internal/match | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
+# Cache layer at the NIC geometry: a list walk that fits (all hits) and
+# one four times the cache (nearly all misses), plus building a host L2
+# and making its first access (the lazy allocation).
+go test -run '^$' -bench 'BenchmarkCache(NICWalk|New)$' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkFig5' -benchtime 3x -count 3 . | tee -a "$out"
