@@ -498,11 +498,11 @@ func (d *Device) scrub(p *sim.Process) {
 	}
 }
 
-// drainChunk is the number of idle cycles one drain timer covers. Bigger
-// chunks mean fewer engine events on a long drain; the chunk length never
-// overshoots quiescence (armDrainChunk lands the final timer exactly on
-// the quiescent edge), so the value only trades event count against the
-// cost of the capped lookahead in the drain tail.
+// drainChunk caps the idle cycles one drain timer covers. Bigger chunks
+// mean fewer engine events on a long drain. armDrainChunk sizes every
+// chunk by a lower bound on the cycles remaining, so no chunk overshoots
+// quiescence and the value changes only how many timer events a drain
+// costs, never where it ends.
 const drainChunk = 64
 
 // idle runs the device's compaction-while-waiting behaviour until ready
@@ -567,20 +567,15 @@ func (d *Device) idle(p *sim.Process, ready func() bool) {
 // armDrainChunk schedules the next slice of an idle drain. The pending
 // timer is what keeps Engine.Alive positive while compaction is still
 // running, exactly as the per-cycle model's wake events would, so it must
-// never outlive quiescence: a full chunk is armed only when at least
-// drainChunk cycles provably remain (the lowest valid cell climbs past
-// every hole above it at most one position per cycle, so that hole count
-// is a lower bound), and otherwise a capped lookahead finds the exact
-// remaining cycle count and the final timer lands on the quiescent edge —
-// the instant the per-cycle model's last wake would fire.
+// never outlive quiescence. A slice covers min(holes, drainChunk) cycles,
+// where holes counts the empty cells above the lowest valid one: that
+// cell climbs past each of them at most one position per cycle, so the
+// count is a lower bound on the cycles remaining and no slice overshoots.
+// Every cycle before quiescence moves data (the progress property of
+// shiftStep), so the slices sum to exactly the cycles-to-quiescence, and
+// the slice that reaches quiescence fires precisely when the per-cycle
+// model's last wake would. Nothing beyond the slice is ever simulated.
 func (d *Device) armDrainChunk() {
-	// The hole count is a provable lower bound on the cycles remaining, so
-	// a chunk of min(holes, drainChunk) cycles never overshoots, and every
-	// cycle it covers moves data (the progress property of shiftStep while
-	// compaction is pending). Chunks therefore sum to exactly the
-	// cycles-to-quiescence: the chunk whose materialisation reaches
-	// quiescence fires precisely when the per-cycle model's last wake
-	// would, with no lookahead ever simulated.
 	q := d.holesAboveLowestValid()
 	if q > drainChunk {
 		q = drainChunk
@@ -881,15 +876,22 @@ func (d *Device) tick(p *sim.Process, n int) {
 // materializeSteps applies up to n compaction cycles of state change
 // immediately, counting ShiftCycles exactly as per-cycle stepping would.
 // Cells change only through the device itself, so once one step moves
-// nothing, no later step in the burst can move either. The valid bitmap
-// is carried across the burst so each step scans bools, not cell
-// structs; only actual moves touch cells.
+// nothing, no later step in the burst can move either. On the packed
+// bitmap the rest of the burst is taken in closed form (climb) as soon as
+// the array is a stack plus isolated climbers, and one bitStep at a time
+// until then; the per-bool fallback carries its bitmap across the burst
+// so each step scans bools, not cell structs. Only actual moves touch
+// cells.
 func (d *Device) materializeSteps(n int) {
 	if n <= 0 {
 		return
 	}
 	if d.valid != nil {
-		for i := 0; i < n; i++ {
+		for ; n > 0; n-- {
+			if s, ok := d.climbers(); ok {
+				d.stats.ShiftCycles += uint64(d.climb(s, n))
+				return
+			}
 			if !d.bitStep(d.valid, true) {
 				return
 			}
@@ -919,6 +921,77 @@ func (d *Device) materializeSteps(n int) {
 		}
 		d.stats.ShiftCycles++
 	}
+}
+
+// climbers reports whether the packed bitmap is a compacted stack plus
+// isolated climbers, and returns the stack's bottom index s. The stack is
+// the maximal run of valid cells ending at the top cell (s = Cells when
+// the top cell is empty); a climber is a valid cell below it whose cell
+// directly above is empty. In that shape every climber is enabled under
+// both space-available rules and no stack cell is, so each climber rises
+// one cell per cycle until it lands (DESIGN.md §5.8 "Closed-form climbs").
+func (d *Device) climbers() (s int, ok bool) {
+	v := d.valid
+	for w := len(v) - 1; w >= 0; w-- {
+		full := ^uint64(0)
+		if w == len(v)-1 {
+			full = d.lastMask
+		}
+		if h := ^v[w] & full; h != 0 {
+			s = w*64 + bits.Len64(h)
+			break
+		}
+	}
+	// No climber may have a valid cell directly above it. Cell s-1 is
+	// empty, so only pairs below s need checking; the carry is bit 0 of the
+	// word above, which cell 64w+63 sits directly below.
+	carry := uint64(0)
+	for w := (s+63)/64 - 1; w >= 0; w-- {
+		c := d.belowStack(w, s)
+		if c&(c>>1|carry<<63) != 0 {
+			return s, false
+		}
+		carry = c & 1
+	}
+	return s, true
+}
+
+// climb advances n ≥ 1 compaction cycles in closed form on a shape
+// climbers accepted with stack bottom s, and returns the number of those
+// cycles that moved data. Climber j (0 = highest, at p_j) lands at
+// s−1−j, so after n cycles it sits at min(p_j+n, s−1−j); the lowest
+// climber, moved last, has the farthest to go and bounds the moving
+// cycles. Climbers move top-down, one cell copy each, so none overwrites
+// another.
+func (d *Device) climb(s, n int) int {
+	v := d.valid
+	moved, j := 0, 0
+	for w := (s+63)/64 - 1; w >= 0; w-- {
+		c := d.belowStack(w, s)
+		for c != 0 {
+			b := bits.Len64(c) - 1
+			c &^= 1 << uint(b)
+			p := w*64 + b
+			moved = min(n, s-1-j-p)
+			j++
+			q := p + moved
+			d.cells[q] = d.cells[p]
+			d.cells[p] = cell{}
+			v[w] &^= 1 << uint(b)
+			v[q/64] |= 1 << uint(q%64)
+		}
+	}
+	return moved
+}
+
+// belowStack returns word w of the valid bitmap restricted to the cells
+// below index s.
+func (d *Device) belowStack(w, s int) uint64 {
+	c := d.valid[w]
+	if r := s - w*64; r < 64 {
+		c &= 1<<uint(r) - 1
+	}
+	return c
 }
 
 // scratch returns the two lazily-allocated bitmap buffers.

@@ -2,6 +2,7 @@ package alpu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"alpusim/internal/match"
@@ -395,45 +396,33 @@ func TestDeviceCompactionPoliciesEquivalentSemantics(t *testing.T) {
 
 // The central correctness property: for random batched-insert/probe
 // workloads, the cycle-level Device produces exactly the responses of the
-// functional Reference.
+// functional Reference. 256/128 has blocks above 64 cells, where the
+// device compacts with the per-bool step instead of the packed bitmap.
 func TestDeviceEquivalentToReference(t *testing.T) {
 	trials := 25
 	if testing.Short() {
 		trials = 5
 	}
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		rng := rand.New(rand.NewSource(int64(trial)))
-		variant := PostedReceives
-		if trial%2 == 1 {
-			variant = UnexpectedMessages
+	for _, g := range []Geometry{{Cells: 32, BlockSize: 8}, {Cells: 256, BlockSize: 128}} {
+		for trial := 0; trial < trials; trial++ {
+			checkEquivalentToReference(t, g, trial)
 		}
-		cfg := testConfig(variant, 32, 8)
-		ref := NewReference(variant, 32)
-		nextTag := uint32(1)
+	}
+}
 
-		randomEntry := func() Command {
-			if variant == PostedReceives {
-				r := match.Recv{
-					Context: uint16(rng.Intn(2)),
-					Source:  int32(rng.Intn(3)),
-					Tag:     int32(rng.Intn(3)),
-				}
-				if rng.Intn(4) == 0 {
-					r.Source = match.AnySource
-				}
-				if rng.Intn(6) == 0 {
-					r.Tag = match.AnyTag
-				}
-				b, m := match.PackRecv(r)
-				return Command{Bits: b, Mask: m}
-			}
-			return Command{Bits: hdrBits(uint16(rng.Intn(2)), int32(rng.Intn(3)), int32(rng.Intn(3))), Mask: match.FullMask}
-		}
-		randomProbe := func() Probe {
-			if variant == PostedReceives {
-				return Probe{Bits: hdrBits(uint16(rng.Intn(2)), int32(rng.Intn(3)), int32(rng.Intn(3)))}
-			}
+func checkEquivalentToReference(t *testing.T, g Geometry, trial int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(trial)))
+	variant := PostedReceives
+	if trial%2 == 1 {
+		variant = UnexpectedMessages
+	}
+	cfg := testConfig(variant, g.Cells, g.BlockSize)
+	ref := NewReference(variant, g.Cells)
+	nextTag := uint32(1)
+
+	randomEntry := func() Command {
+		if variant == PostedReceives {
 			r := match.Recv{
 				Context: uint16(rng.Intn(2)),
 				Source:  int32(rng.Intn(3)),
@@ -442,57 +431,165 @@ func TestDeviceEquivalentToReference(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				r.Source = match.AnySource
 			}
+			if rng.Intn(6) == 0 {
+				r.Tag = match.AnyTag
+			}
 			b, m := match.PackRecv(r)
-			return Probe{Bits: b, Mask: m}
+			return Command{Bits: b, Mask: m}
 		}
+		return Command{Bits: hdrBits(uint16(rng.Intn(2)), int32(rng.Intn(3)), int32(rng.Intn(3))), Mask: match.FullMask}
+	}
+	randomProbe := func() Probe {
+		if variant == PostedReceives {
+			return Probe{Bits: hdrBits(uint16(rng.Intn(2)), int32(rng.Intn(3)), int32(rng.Intn(3)))}
+		}
+		r := match.Recv{
+			Context: uint16(rng.Intn(2)),
+			Source:  int32(rng.Intn(3)),
+			Tag:     int32(rng.Intn(3)),
+		}
+		if rng.Intn(4) == 0 {
+			r.Source = match.AnySource
+		}
+		b, m := match.PackRecv(r)
+		return Probe{Bits: b, Mask: m}
+	}
 
-		runDriver(t, cfg, func(dr *driver) {
-			for phase := 0; phase < 8; phase++ {
-				if rng.Intn(2) == 0 {
-					// Insert phase: batch up to the free space.
-					n := rng.Intn(6) + 1
-					if free := ref.Free(); n > free {
-						n = free
+	runDriver(t, cfg, func(dr *driver) {
+		for phase := 0; phase < 8; phase++ {
+			if rng.Intn(2) == 0 {
+				// Insert phase: batch up to the free space.
+				n := rng.Intn(6) + 1
+				if free := ref.Free(); n > free {
+					n = free
+				}
+				var cmds []Command
+				for i := 0; i < n; i++ {
+					c := randomEntry()
+					c.Tag = nextTag
+					nextTag++
+					cmds = append(cmds, c)
+				}
+				drained, free := dr.insertAll(cmds)
+				if len(drained) != 0 {
+					t.Fatalf("%+v trial %d: unexpected responses before ack", g, trial)
+				}
+				if free != ref.Free() {
+					t.Fatalf("%+v trial %d: ack free=%d, ref free=%d", g, trial, free, ref.Free())
+				}
+				for _, c := range cmds {
+					if !ref.Insert(c.Bits, c.Mask, c.Tag) {
+						t.Fatalf("%+v trial %d: reference rejected insert", g, trial)
 					}
-					var cmds []Command
-					for i := 0; i < n; i++ {
-						c := randomEntry()
-						c.Tag = nextTag
-						nextTag++
-						cmds = append(cmds, c)
-					}
-					drained, free := dr.insertAll(cmds)
-					if len(drained) != 0 {
-						t.Fatalf("trial %d: unexpected responses before ack", trial)
-					}
-					if free != ref.Free() {
-						t.Fatalf("trial %d: ack free=%d, ref free=%d", trial, free, ref.Free())
-					}
-					for _, c := range cmds {
-						if !ref.Insert(c.Bits, c.Mask, c.Tag) {
-							t.Fatalf("trial %d: reference rejected insert", trial)
+				}
+				dr.p.Sleep(2 * sim.Microsecond) // quiesce
+			} else {
+				// Probe phase: sequential probes.
+				n := rng.Intn(6) + 1
+				for i := 0; i < n; i++ {
+					probe := randomProbe()
+					dr.dev.PushProbe(probe)
+					got := dr.waitResult()
+					wantTag, wantOK := ref.Match(probe)
+					if wantOK {
+						if got.Kind != RespMatchSuccess || got.Tag != wantTag {
+							t.Fatalf("%+v trial %d: device %v tag=%d, reference success tag=%d",
+								g, trial, got.Kind, got.Tag, wantTag)
 						}
-					}
-					dr.p.Sleep(2 * sim.Microsecond) // quiesce
-				} else {
-					// Probe phase: sequential probes.
-					n := rng.Intn(6) + 1
-					for i := 0; i < n; i++ {
-						probe := randomProbe()
-						dr.dev.PushProbe(probe)
-						got := dr.waitResult()
-						wantTag, wantOK := ref.Match(probe)
-						if wantOK {
-							if got.Kind != RespMatchSuccess || got.Tag != wantTag {
-								t.Fatalf("trial %d: device %v tag=%d, reference success tag=%d",
-									trial, got.Kind, got.Tag, wantTag)
-							}
-						} else if got.Kind != RespMatchFailure {
-							t.Fatalf("trial %d: device %v, reference failure", trial, got.Kind)
-						}
+					} else if got.Kind != RespMatchFailure {
+						t.Fatalf("%+v trial %d: device %v, reference failure", g, trial, got.Kind)
 					}
 				}
 			}
+		}
+	})
+}
+
+// TestDeviceBatchedMatchesPerCycle runs one seeded traffic script —
+// insert episodes, probe bursts, invalidates and idle gaps of random
+// length — on the batched device and on the PerCycle reference, and
+// requires the same responses at the same instants and the same Stats.
+// 256/128 and 96/32 compact with the per-bool step (block above 64) and
+// with a partial top bitmap word; 128/8 with the packed bitmap.
+func TestDeviceBatchedMatchesPerCycle(t *testing.T) {
+	type timed struct {
+		at sim.Time
+		r  Response
+	}
+	run := func(g Geometry, seed int64, perCycle bool) ([]timed, Stats, []uint32, sim.Time) {
+		cfg := testConfig(PostedReceives, g.Cells, g.BlockSize)
+		cfg.PerCycle = perCycle
+		rng := rand.New(rand.NewSource(seed))
+		var got []timed
+		var live []uint32
+		nextTag := uint32(1)
+		dev := runDriver(t, cfg, func(dr *driver) {
+			wait := func() Response {
+				r := dr.waitResult()
+				got = append(got, timed{dr.p.Now(), r})
+				return r
+			}
+			for phase := 0; phase < 40; phase++ {
+				switch rng.Intn(4) {
+				case 0, 1:
+					var cmds []Command
+					for i := rng.Intn(8) + 1; i > 0 && len(live) < g.Cells; i-- {
+						b := hdrBits(1, int32(rng.Intn(4)), int32(rng.Intn(4)))
+						cmds = append(cmds, Command{Bits: b, Mask: match.FullMask, Tag: nextTag})
+						live = append(live, nextTag)
+						nextTag++
+					}
+					dr.dev.PushCommand(Command{Op: OpStartInsert})
+					for wait().Kind != RespStartAck {
+					}
+					for _, c := range cmds {
+						c.Op = OpInsert
+						dr.pushCommandWait(c)
+					}
+					dr.pushCommandWait(Command{Op: OpStopInsert})
+				case 2:
+					k := rng.Intn(6) + 1
+					for i := 0; i < k; i++ {
+						dr.dev.PushProbe(Probe{Bits: hdrBits(1, int32(rng.Intn(4)), int32(rng.Intn(4)))})
+					}
+					for i := 0; i < k; i++ {
+						if r := wait(); r.Kind == RespMatchSuccess {
+							for j, tag := range live {
+								if tag == r.Tag {
+									live = append(live[:j], live[j+1:]...)
+									break
+								}
+							}
+						}
+					}
+				case 3:
+					if len(live) > 0 {
+						j := rng.Intn(len(live))
+						dr.pushCommandWait(Command{Op: OpInvalidate, Tag: live[j]})
+						live = append(live[:j], live[j+1:]...)
+					}
+				}
+				dr.p.Sleep(sim.Time(rng.Intn(400)) * sim.Nanosecond)
+			}
 		})
+		return got, dev.Stats(), dev.Tags(), dev.eng.Now()
+	}
+	for _, g := range []Geometry{{Cells: 256, BlockSize: 128}, {Cells: 96, BlockSize: 32}, {Cells: 128, BlockSize: 8}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			refResp, refStats, refTags, refEnd := run(g, seed, true)
+			gotResp, gotStats, gotTags, gotEnd := run(g, seed, false)
+			if refStats.ShiftCycles == 0 || refStats.Invalidates == 0 {
+				t.Fatalf("%+v seed %d: traffic exercised no compaction or no invalidate: %+v", g, seed, refStats)
+			}
+			if gotStats != refStats {
+				t.Errorf("%+v seed %d: stats diverge:\n per-cycle: %+v\n batched:   %+v", g, seed, refStats, gotStats)
+			}
+			if !reflect.DeepEqual(gotResp, refResp) {
+				t.Errorf("%+v seed %d: responses diverge (%d batched, %d per-cycle)", g, seed, len(gotResp), len(refResp))
+			}
+			if !reflect.DeepEqual(gotTags, refTags) || gotEnd != refEnd {
+				t.Errorf("%+v seed %d: final state diverges: tags %v vs %v, end %v vs %v", g, seed, gotTags, refTags, gotEnd, refEnd)
+			}
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Micro-benchmarks of the Device hot paths — insert, search at depth
-// (hit and miss), and the compaction drain after an insert fragments the
-// array — across the §VI-A geometry grid (128/256 cells × block
+// (hit and miss), the compaction drain after an insert fragments the
+// array, stepped per cycle and as one batched burst, and a train of
+// climbers below a half-full stack — across the §VI-A geometry grid (128/256 cells × block
 // 8/16/32). They exist in a non-test file so the alpusim bench harness
 // can fold the results into BENCH.json; go test -bench reaches them
 // through BenchmarkMicro. The numbers measure host cost of simulating
@@ -52,6 +53,8 @@ func MicroCases() []MicroCase {
 			MicroCase{"search-hit" + suffix, func(b *testing.B) { microSearch(b, g, true) }},
 			MicroCase{"search-miss" + suffix, func(b *testing.B) { microSearch(b, g, false) }},
 			MicroCase{"compact-drain" + suffix, func(b *testing.B) { microCompactDrain(b, g) }},
+			MicroCase{"compact-burst" + suffix, func(b *testing.B) { microCompactBurst(b, g) }},
+			MicroCase{"climb-train" + suffix, func(b *testing.B) { microClimbTrain(b, g) }},
 		)
 	}
 	return cases
@@ -168,15 +171,25 @@ func microSearch(b *testing.B, g Geometry, hit bool) {
 	eng.Run()
 }
 
-// microCompactDrain measures a full idle compaction: a fresh entry in
-// cell 0 below a compacted half-full suffix, stepped until quiescent.
-// This exercises the step kernel directly, without engine events.
-func microCompactDrain(b *testing.B, g Geometry) {
+// microClimbers builds a device holding a compacted half-full suffix with
+// the given cells below it also valid: the entries still climbing.
+func microClimbers(g Geometry, at ...int) *Device {
 	d := MustDevice(sim.NewEngine(), "bench", microConfig(g))
 	microFill(d, g.Cells/2, false)
 	bits, mask := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
-	d.cells[0] = cell{valid: true, bits: bits, mask: mask, tag: 99}
+	for k, i := range at {
+		d.cells[i] = cell{valid: true, bits: bits, mask: mask, tag: uint32(1000 + k)}
+	}
 	d.rebuildBits()
+	return d
+}
+
+// microCompactDrain measures a full idle compaction on the per-cycle
+// path: a fresh entry in cell 0 below a compacted half-full suffix,
+// stepped until quiescent. This exercises the step kernel directly,
+// without engine events.
+func microCompactDrain(b *testing.B, g Geometry) {
+	d := microClimbers(g, 0)
 	template := append([]cell(nil), d.cells...)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,5 +198,33 @@ func microCompactDrain(b *testing.B, g Geometry) {
 		d.rebuildBits()
 		for d.shiftStep() {
 		}
+	}
+}
+
+// microCompactBurst is the compact-drain state advanced on the batched
+// path: one materializeSteps burst of Cells cycles.
+func microCompactBurst(b *testing.B, g Geometry) {
+	microBurst(b, g, microClimbers(g, 0))
+}
+
+// microClimbTrain is the Fig. 6 shape on the batched path: 20 entries two
+// cells apart climbing toward a half-full stack, advanced by one
+// materializeSteps burst of Cells cycles.
+func microClimbTrain(b *testing.B, g Geometry) {
+	at := make([]int, 20)
+	for k := range at {
+		at[k] = 2 * k
+	}
+	microBurst(b, g, microClimbers(g, at...))
+}
+
+func microBurst(b *testing.B, g Geometry, d *Device) {
+	template := append([]cell(nil), d.cells...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(d.cells, template)
+		d.rebuildBits()
+		d.materializeSteps(g.Cells)
 	}
 }
