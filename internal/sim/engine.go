@@ -78,11 +78,12 @@ func (h *eventHeap) Pop() any {
 const arenaBlock = 256
 
 // Engine is the discrete event simulation kernel. It is not safe for
-// concurrent use; co-simulated processes (see Process) hand control back and
-// forth so that exactly one goroutine touches the Engine at a time. Distinct
-// Engines are fully independent, so whole worlds may run on parallel
-// goroutines (see internal/sweep) and a single world may be split across
-// per-partition engines (see PartitionSet).
+// concurrent use; co-simulated processes (see Process) are coroutines that
+// hand control back and forth with the engine, so exactly one of them
+// touches the Engine at a time. Distinct Engines are fully independent, so
+// whole worlds may run on parallel goroutines (see internal/sweep) and a
+// single world may be split across per-partition engines (see
+// PartitionSet).
 //
 // There is one event-queue kernel, used by every engine: a container/heap
 // queue ordered by the composite (at, k1, k2) key above.
@@ -90,7 +91,7 @@ const arenaBlock = 256
 // A process wake is an event record carrying (process, park generation)
 // rather than a closure, so parking allocates nothing; and a Sleep whose
 // wake would provably be the next event executed skips the queue and the
-// goroutine handoff altogether (exact run-ahead, see Process.Sleep).
+// coroutine switch altogether (exact run-ahead, see Process.Sleep).
 type Engine struct {
 	now     Time
 	events  eventHeap
@@ -105,10 +106,6 @@ type Engine struct {
 	// loop: maxTime under Run, t+1 under RunUntil(t), t under RunBefore(t),
 	// and 0 outside any loop, so a bare Step never runs ahead.
 	horizon Time
-
-	// procFailure holds a panic captured from a co-simulated process
-	// goroutine, re-raised on the engine goroutine by Process.run.
-	procFailure *ProcessPanic
 
 	// Stats.
 	executed uint64

@@ -74,7 +74,7 @@ func BenchmarkProcessSleep(b *testing.B) {
 
 // BenchmarkProcessPingPong measures the park path: two processes take
 // turns through a pair of Signals, so every operation is one wake event
-// and a goroutine handoff there and back.
+// and a coroutine switch there and back.
 func BenchmarkProcessPingPong(b *testing.B) {
 	e := NewEngine()
 	ping, pong := NewSignal(e), NewSignal(e)
@@ -94,4 +94,22 @@ func BenchmarkProcessPingPong(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkProcessSpawn measures a process's whole life: Spawn (which
+// creates its coroutine), a run until it parks at its idle point with the
+// engine drained, and its release — the per-process cost every world pays
+// in setup and teardown.
+func BenchmarkProcessSpawn(b *testing.B) {
+	e := NewEngine()
+	idle := NewSignal(e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Spawn("idler", func(p *Process) { p.WaitSignal(idle) })
+		e.Run()
+		e.release()
+		e.procs = e.procs[:0]
+		idle.waiters = idle.waiters[:0]
+	}
 }

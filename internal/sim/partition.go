@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"runtime"
+	"sort"
+)
 
 // Conservative parallel discrete-event simulation of one world.
 //
@@ -116,10 +119,16 @@ func (ps *PartitionSet) Defer(srcPart int, d Delivery) {
 	ps.outbox[srcPart] = append(ps.outbox[srcPart], d)
 }
 
-// Run executes barrier windows until every partition's queue drains. A
-// panic on any partition goroutine (process failure, watchdog) is
-// re-raised on the caller's goroutine; with several, the lowest partition
-// index wins, deterministically.
+// goexit is recorded in PartitionSet.fails for a window that a process
+// ended with runtime.Goexit.
+type goexit struct{}
+
+// Run executes barrier windows until every partition's queue drains, then
+// releases the processes still parked (see Engine.release). A panic on any
+// partition (process failure, watchdog) is re-raised on the caller's
+// goroutine, and a runtime.Goexit in a process ends the caller's goroutine;
+// with several, the lowest partition index wins, deterministically. Either
+// way every partition's window has ended before Run unwinds.
 func (ps *PartitionSet) Run() {
 	n := len(ps.engines)
 	ps.start = make([]chan Time, n)
@@ -128,7 +137,13 @@ func (ps *PartitionSet) Run() {
 		ps.start[p] = make(chan Time, 1)
 		go ps.worker(p)
 	}
+	launched := 0
 	defer func() {
+		// Non-zero only when a Goexit on partition 0 unwinds the
+		// coordinator mid-window.
+		for ; launched > 0; launched-- {
+			<-ps.done
+		}
 		for p := 1; p < n; p++ {
 			close(ps.start[p])
 		}
@@ -145,6 +160,9 @@ func (ps *PartitionSet) Run() {
 			ps.react[i] = ps.next[i] != maxTime || eng.ParkedProcs() > 0
 		}
 		if busy == 0 {
+			for _, eng := range ps.engines {
+				eng.release()
+			}
 			return
 		}
 		// The two earliest next-event times determine every horizon: for
@@ -159,7 +177,6 @@ func (ps *PartitionSet) Run() {
 				min2 = t
 			}
 		}
-		launched := 0
 		for p := n - 1; p >= 1; p-- {
 			if ps.next[p] == maxTime {
 				continue
@@ -177,6 +194,9 @@ func (ps *PartitionSet) Run() {
 		for p, f := range ps.fails {
 			if f != nil {
 				ps.fails[p] = nil
+				if f == (goexit{}) {
+					runtime.Goexit()
+				}
 				panic(f)
 			}
 		}
@@ -211,20 +231,31 @@ func (ps *PartitionSet) horizon(p int, min1 Time, arg1 int, min2 Time) Time {
 	return h
 }
 
+// worker runs partition p's windows. It signals done from a defer, so a
+// Goexit that ends the worker mid-window still releases the coordinator,
+// which then finds the Goexit recorded in fails.
 func (ps *PartitionSet) worker(p int) {
 	for h := range ps.start[p] {
-		ps.window(p, h)
-		ps.done <- struct{}{}
+		func() {
+			defer func() { ps.done <- struct{}{} }()
+			ps.window(p, h)
+		}()
 	}
 }
 
+// window runs partition p up to h, recording a panic or a Goexit that
+// ends the window in fails[p].
 func (ps *PartitionSet) window(p int, h Time) {
+	ended := false
 	defer func() {
 		if r := recover(); r != nil {
 			ps.fails[p] = r
+		} else if !ended {
+			ps.fails[p] = goexit{}
 		}
 	}()
 	ps.engines[p].RunBefore(h)
+	ended = true
 }
 
 // flush merges every outbox, sorts the deliveries by their canonical

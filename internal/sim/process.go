@@ -1,19 +1,23 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// ProcessPanic is the value re-raised on the engine goroutine when a
-// co-simulated process panics. Without this hand-off the panic would unwind
-// a bare goroutine and abort the whole program — with it, the panic
-// propagates out of Engine.Run on the caller's goroutine, where a sweep
-// worker (internal/sweep) can recover it and fail just that world.
+// ProcessPanic is what a panic in a co-simulated process becomes. It is
+// recovered inside the process's coroutine, where its stack is still
+// intact, and re-raised by the call that resumed the process, so it
+// propagates out of Engine.Run (or PartitionSet.Run) on the caller's
+// goroutine, where a sweep worker (internal/sweep) can recover it and
+// fail just that world.
 type ProcessPanic struct {
 	Proc  string // name of the process that panicked
 	Value any    // the original panic value
-	Stack []byte // stack of the panicking process goroutine
+	Stack []byte // stack of the panicking process
 }
 
 func (pp *ProcessPanic) Error() string {
@@ -26,76 +30,87 @@ func (pp *ProcessPanic) Error() string {
 // lets them be written as straight-line code instead of hand-built state
 // machines while staying deterministic.
 //
-// The handshake guarantees that exactly one of {engine, one process} runs at
-// any instant: when the engine resumes a process it blocks on the process's
-// yield channel until the process parks again (in Sleep or WaitSignal) or
-// returns.
+// Each process is a coroutine (iter.Pull): the engine resumes it with
+// next, and it hands control back by yielding when it parks (in Sleep or
+// WaitSignal) or by returning. A switch either way is a direct coroutine
+// switch, not a trip through the scheduler, and exactly one of {engine,
+// one process} runs at any instant.
 type Process struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	yield  chan struct{}
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	done   bool
 	parked bool   // true while suspended awaiting a wake event
 	gen    uint64 // increments on every wake; stale wake events are dropped
 }
 
+// released is the panic value that unwinds a process whose coroutine was
+// stopped while parked (see Engine.release); Spawn's wrapper swallows it.
+type released struct{}
+
 // Spawn starts fn as a co-simulated process at the current simulated time.
+//
+// A panic in fn is re-raised as *ProcessPanic by the call that resumed the
+// process. A runtime.Goexit in fn (t.Fatal in a test-driver process) ends
+// the goroutine that resumed it, as if that goroutine had called Goexit;
+// under PartitionSet.Run it ends Run's caller, whichever partition the
+// process runs on.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-		parked: true,
-	}
-	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		// The final yield runs via defer so that the engine is released
-		// even if fn unwinds via runtime.Goexit (e.g. t.Fatal inside a
-		// test-driver process). A panic is captured here and re-raised on
-		// the engine goroutine (see ProcessPanic); recover returns nil for
-		// Goexit, preserving the old behaviour for that path.
+	p := &Process{eng: e, name: name, parked: true}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				p.eng.procFailure = &ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
 			p.done = true
-			p.yield <- struct{}{}
+			if r := recover(); r != nil && r != (released{}) {
+				panic(&ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+			}
 		}()
 		fn(p)
-	}()
+	})
+	e.procs = append(e.procs, p)
 	e.wake(e.now, p, p.gen)
 	return p
 }
 
-// run hands control to the process and waits for it to park or finish.
-// It must only be called from an engine event: the wake event of the park
-// with generation gen. If the process has been woken by some other event
-// in the meantime (its generation advanced), the wake is stale and is
-// dropped — a process may be the target of both a timer and a signal
-// broadcast.
+// run resumes the process until it parks or finishes. It must only be
+// called from an engine event: the wake event of the park with generation
+// gen. If the process has been woken by some other event in the meantime
+// (its generation advanced), the wake is stale and is dropped — a process
+// may be the target of both a timer and a signal broadcast.
 func (p *Process) run(gen uint64) {
 	if p.done || !p.parked || p.gen != gen {
 		return // stale wake
 	}
 	p.parked = false
 	p.gen++
-	p.resume <- struct{}{}
-	<-p.yield
-	if f := p.eng.procFailure; f != nil {
-		p.eng.procFailure = nil
-		panic(f)
-	}
+	p.next()
 }
 
 // park suspends the process until some engine event calls run again.
-// It must only be called from inside the process goroutine.
+// It must only be called from inside the process. If the process is
+// released instead, park unwinds it.
 func (p *Process) park() {
 	p.parked = true
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(released{})
+	}
+}
+
+// release stops every unfinished process of a drained engine, so that no
+// parked coroutine outlives its world and keeps it reachable. Each one
+// unwinds from its park through its deferred calls. A drained engine has
+// no pending event, hence no pending Sleep wake: every unfinished process
+// is parked on a signal at its idle point (firmware and device loops
+// waiting for work, a deadlocked rank waiting for a message), not inside
+// an operation whose deferred trace span would then be emitted.
+func (e *Engine) release() {
+	for _, p := range e.procs {
+		if !p.done {
+			p.stop()
+		}
+	}
 }
 
 // Name returns the name given at Spawn.
@@ -116,7 +131,7 @@ func (p *Process) Done() bool { return p.done }
 // every pending event, inside the loop's horizon, no Stop requested — the
 // process takes it in place (exact run-ahead): the clock and the engine
 // counters advance exactly as if the wake had been scheduled, popped and
-// run, without the park and the two goroutine handoffs. Sleep(0)
+// run, without the park and the two coroutine switches. Sleep(0)
 // therefore yields only when another event is already due at the current
 // instant (events scheduled earlier at the same instant run first); with
 // nothing else due now it returns at once.
@@ -134,10 +149,8 @@ func (p *Process) Sleep(d Time) {
 		p.gen++
 		return
 	}
-	p.parked = true
 	e.wake(w, p, p.gen)
-	p.yield <- struct{}{}
-	<-p.resume
+	p.park()
 }
 
 // WaitSignal parks the process until s is raised. If s is already raised the

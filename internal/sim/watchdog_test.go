@@ -64,7 +64,7 @@ func TestWatchdogDefaultPanics(t *testing.T) {
 		r := recover()
 		pp, ok := r.(*ProcessPanic)
 		if ok {
-			// The panic unwound through the process goroutine hand-off.
+			// The panic unwound through the process coroutine.
 			if _, ok := pp.Value.(*WatchdogError); ok {
 				return
 			}

@@ -95,7 +95,7 @@ func TestPanicPropagation(t *testing.T) {
 }
 
 // TestPanicFromWorld: a panic raised inside a co-simulated rank program —
-// on the world's internal process goroutine — must surface through
+// inside the process coroutine of its rank — must surface through
 // mpi.RunPrograms to the sweep worker and fail the sweep the same way.
 func TestPanicFromWorld(t *testing.T) {
 	defer func() {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Runs the bench-gate benchmark set — the engine event loop, the
-# process-layer sleep and signal ping-pong, the event-queue and
+# process-layer sleep, signal ping-pong and spawn, the event-queue and
 # partition-runner micro-benchmarks, the ALPU device
 # micro-benchmarks, the matching-fabric dispatch/overflow and dispatch-
 # cache micro-benchmarks, the NIC-geometry cache walk and cache
@@ -17,10 +17,11 @@ set -e
 out="${1:-BENCH_CURRENT.txt}"
 : > "$out"
 go test -run '^$' -bench 'BenchmarkEngineScheduleStep$' -benchtime 1s -count 3 ./internal/sim | tee -a "$out"
-# Process layer: a solo Sleep loop (the run-ahead path, no park) and a
+# Process layer: a solo Sleep loop (the run-ahead path, no park), a
 # two-process Signal ping-pong (the park path: a wake event and a
-# goroutine handoff there and back per operation).
-go test -run '^$' -bench 'BenchmarkProcess(Sleep|PingPong)$' -benchtime 0.2s -count 3 ./internal/sim | tee -a "$out"
+# coroutine switch there and back per operation), and a process's whole
+# life (Spawn, run to its idle park, release).
+go test -run '^$' -bench 'BenchmarkProcess(Sleep|PingPong|Spawn)$' -benchtime 0.2s -count 3 ./internal/sim | tee -a "$out"
 # Time-based benchtime: the queue and partition-window ops are tens to
 # hundreds of ns, so a fixed small iteration count would be all timer
 # noise.
