@@ -21,7 +21,6 @@ import (
 	"alpusim/internal/match"
 	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
-	"alpusim/internal/portals"
 	"alpusim/internal/sim"
 )
 
@@ -30,18 +29,8 @@ import (
 func benchmarkFPGATable(b *testing.B, v alpu.Variant) {
 	var maxErr float64
 	for i := 0; i < b.N; i++ {
-		for _, pub := range fpga.PublishedFor(v) {
-			e := fpga.PrototypeParams(v, pub.Cells, pub.BlockSize).Estimate()
-			for _, pair := range [...][2]float64{
-				{float64(e.LUTs), float64(pub.LUTs)},
-				{float64(e.FFs), float64(pub.FFs)},
-				{float64(e.Slices), float64(pub.Slices)},
-			} {
-				err := 100 * abs(pair[0]-pair[1]) / pair[1]
-				if err > maxErr {
-					maxErr = err
-				}
-			}
+		for _, c := range fpga.Compare(v) {
+			maxErr = max(maxErr, 100*c.MaxErr())
 		}
 	}
 	b.ReportMetric(maxErr, "max-err-%")
@@ -351,40 +340,6 @@ func BenchmarkGap(b *testing.B) {
 	}
 }
 
-// --- Portals extension (§III-A footnote 7, §VIII future work) ---------
-
-// BenchmarkPortalsWideMatch measures the full-width (64-bit match, mask
-// per bit) configuration on a Portals-style match list: software
-// traversal cost grows with the list, the ALPU-fronted table stays flat.
-// The fpga metrics report what the wide unit would cost on the prototype
-// part.
-func BenchmarkPortalsWideMatch(b *testing.B) {
-	est := fpga.PortalsParams(128, 16).Estimate()
-	for _, depth := range []int{8, 64, 120} {
-		depth := depth
-		b.Run(benchName("depth", depth), func(b *testing.B) {
-			var devNs float64
-			for i := 0; i < b.N; i++ {
-				t := portals.NewAccelTable(128)
-				for k := 0; k < depth; k++ {
-					t.Attach(&portals.MatchEntry{
-						Match:   portals.MatchBits(0xABCD_0000_0000_0000 | uint64(k)),
-						UseOnce: true,
-					})
-				}
-				// Match the deepest entry; the unit answers in pipeline
-				// time regardless of depth.
-				before := t.DeviceTime
-				t.ProcessPut(portals.Put{Bits: portals.MatchBits(0xABCD_0000_0000_0000 | uint64(depth-1))}, 0)
-				devNs = (t.DeviceTime - before).Nanoseconds()
-			}
-			b.ReportMetric(devNs, "sim-ns-match")
-			b.ReportMetric(float64(est.Slices), "wide-unit-slices")
-			b.ReportMetric(est.FreqMHz, "wide-unit-MHz")
-		})
-	}
-}
-
 // --- helpers ----------------------------------------------------------
 
 func benchName(prefix string, v int) string {
@@ -403,11 +358,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

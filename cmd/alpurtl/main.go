@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"alpusim/internal/alpu"
 	"alpusim/internal/fpga"
@@ -29,12 +28,17 @@ func main() {
 	name := flag.String("name", "alpu", "module name prefix")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
+	v, err := alpu.ParseVariant(*variant)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "alpurtl: -variant:", err)
+		os.Exit(1)
+	}
 
 	d := rtl.Design{
 		Geometry:   alpu.Geometry{Cells: *cells, BlockSize: *block},
 		MatchWidth: *matchW,
 		TagWidth:   *tagW,
-		Masked:     !strings.HasPrefix(*variant, "unexp"),
+		Masked:     v == alpu.PostedReceives,
 		Name:       *name,
 	}
 	src, err := d.Generate()

@@ -4,7 +4,7 @@
 // Experiments (-experiment):
 //
 //	tab3           print the Table III processor parameters in use
-//	tab4, tab5     the FPGA prototype tables (see also cmd/fpgareport)
+//	tab4, tab5     the FPGA prototype tables: estimate, published row, max error
 //	fig5-baseline  latency surface, baseline NIC (Fig. 5a/b)
 //	fig5-alpu128   latency surface, NIC + 128-entry ALPU (Fig. 5c/d)
 //	fig5-alpu256   latency surface, NIC + 256-entry ALPU (Fig. 5e/f)
@@ -224,13 +224,16 @@ func main() {
 	if *serveAddr != "" {
 		progressTracker = sweep.NewProgress()
 		sweep.SetProgress(progressTracker)
-		obsSrv = obs.NewServer(obs.Options{Progress: progressTracker, Log: diagLog})
-		addr, err := obsSrv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "alpusim: observability plane on http://%s\n", addr)
+	}
+	var stopServe func()
+	obsSrv, stopServe, err = profiling.Serve("alpusim", *serveAddr,
+		obs.Options{Progress: progressTracker, Log: diagLog}, *linger, "experiments")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "alpusim: -serve: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopServe()
+	if obsSrv != nil {
 		bench.WorldObserver = func(w *mpi.World) { obsSrv.MergeSnapshot(w.TelemetrySnapshot()) }
 		bench.CritPathObserver = func(label string, rep telemetry.CausalReport) { obsSrv.AddCritPath(label, rep) }
 	}
@@ -287,13 +290,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "alpusim: unknown experiment %q; valid experiments:\n\n", *experiment)
 		printExperiments(os.Stderr)
 		os.Exit(1)
-	}
-	if obsSrv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "alpusim: experiments done; serving for another %v\n", *linger)
-			time.Sleep(*linger)
-		}
-		obsSrv.Close()
 	}
 }
 
@@ -389,19 +385,24 @@ func tab3() {
 	fmt.Println()
 }
 
+// fpgaTable prints the estimator's Table IV or V beside the published
+// row, the largest relative resource error, and the §VI-A ASIC clock
+// projection.
 func fpgaTable(v alpu.Variant) {
 	name := "Table IV (posted receives ALPU)"
 	if v == alpu.UnexpectedMessages {
 		name = "Table V (unexpected messages ALPU)"
 	}
 	fmt.Println(name)
-	tb := stats.NewTable("Cells", "Block", "LUTs", "FFs", "Slices", "MHz", "Latency")
-	for _, pub := range fpga.PublishedFor(v) {
-		e := fpga.PrototypeParams(v, pub.Cells, pub.BlockSize).Estimate()
-		tb.AddRow(pub.Cells, pub.BlockSize, e.LUTs, e.FFs, e.Slices, e.FreqMHz, e.LatencyCycles)
+	tb := stats.NewTable("Cells", "Block", "LUTs", "FFs", "Slices", "MHz", "Latency",
+		"ASIC MHz", "paper LUTs/FFs/Slices/MHz/Lat", "max err")
+	for _, c := range fpga.Compare(v) {
+		e := c.Est
+		tb.AddRow(c.Cells, c.BlockSize, e.LUTs, e.FFs, e.Slices, e.FreqMHz, e.LatencyCycles, e.ASICFreqMHz(),
+			fmt.Sprintf("%d/%d/%d/%.1f/%d", c.LUTs, c.FFs, c.Slices, c.FreqMHz, c.LatencyCycles),
+			fmt.Sprintf("%.1f%%", 100*c.MaxErr()))
 	}
 	tb.Render(os.Stdout)
-	fmt.Println("(run cmd/fpgareport for the side-by-side comparison with the published values)")
 	fmt.Println()
 }
 
@@ -785,20 +786,15 @@ func phasesLens() []int {
 	return []int{0, 32, 128, 512}
 }
 
-// writeOutput writes to path via write, with "-" meaning stdout.
-func writeOutput(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
+// faultModel parses -faults and -seed (nil without a fault spec); a bad
+// spec exits with status 2.
+func faultModel() *network.FaultModel {
+	fm, err := network.ParseFaults(*faultSpec, *faultSeed)
 	if err != nil {
-		return err
+		fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
+		os.Exit(2)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return fm
 }
 
 // phasesExp decomposes the Fig. 5 end-to-end latency into pipeline
@@ -809,15 +805,7 @@ func writeOutput(path string, write func(w io.Writer) error) error {
 // telemetry.
 func phasesExp() {
 	obsLabel("phases")
-	var fm *network.FaultModel
-	if *faultSpec != "" {
-		var err error
-		fm, err = network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	fm := faultModel()
 	// The run report and the /report, /timeseries endpoints need the
 	// time-series sampler; the sim-time profile rides on the tracer.
 	wantReport := *reportOut != "" || *tsOut != "" || obsSrv != nil
@@ -852,33 +840,15 @@ func phasesExp() {
 		bench.RenderPhases(os.Stdout, pts)
 		fmt.Println()
 	}
-	if *tracePath != "" {
-		err := writeOutput(*tracePath, func(w io.Writer) error {
-			return telemetry.WriteTrace(w, bench.Tracers(pts)...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -trace: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsOut != "" {
-		err := writeOutput(*metricsOut, func(w io.Writer) error {
-			return bench.MergedMetrics(pts).WriteJSON(w)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *simprofOut != "" {
-		err := writeOutput(*simprofOut, func(w io.Writer) error {
-			return telemetry.WriteSimProfile(w, bench.Tracers(pts)...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -simprof: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	profiling.MustWriteOutput("alpusim", "-trace", *tracePath, func(w io.Writer) error {
+		return telemetry.WriteTrace(w, bench.Tracers(pts)...)
+	})
+	profiling.MustWriteOutput("alpusim", "-metrics", *metricsOut, func(w io.Writer) error {
+		return bench.MergedMetrics(pts).WriteJSON(w)
+	})
+	profiling.MustWriteOutput("alpusim", "-simprof", *simprofOut, func(w io.Writer) error {
+		return telemetry.WriteSimProfile(w, bench.Tracers(pts)...)
+	})
 	if wantReport {
 		// The title describes the workload only: anything -par/-jobs
 		// dependent would break the byte-identity CI asserts on the report.
@@ -904,24 +874,14 @@ func phasesExp() {
 // and the obs server's /report and /timeseries endpoints.
 func emitReport(rep *obs.Report) {
 	html, tsJSON := rep.HTML(), rep.TimeseriesJSON()
-	if *reportOut != "" {
-		if err := writeOutput(*reportOut, func(w io.Writer) error {
-			_, err := w.Write(html)
-			return err
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -report: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *tsOut != "" {
-		if err := writeOutput(*tsOut, func(w io.Writer) error {
-			_, err := w.Write(tsJSON)
-			return err
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -timeseries: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	profiling.MustWriteOutput("alpusim", "-report", *reportOut, func(w io.Writer) error {
+		_, err := w.Write(html)
+		return err
+	})
+	profiling.MustWriteOutput("alpusim", "-timeseries", *tsOut, func(w io.Writer) error {
+		_, err := w.Write(tsJSON)
+		return err
+	})
 	if obsSrv != nil {
 		obsSrv.SetReport(html, tsJSON)
 	}
@@ -936,15 +896,7 @@ func emitReport(rep *obs.Report) {
 // output is byte-identical at any -jobs / -par setting.
 func critpathExp() {
 	obsLabel("critpath")
-	var fm *network.FaultModel
-	if *faultSpec != "" {
-		var err error
-		fm, err = network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	fm := faultModel()
 	pts := bench.RunCritPath(bench.CritPathConfig{
 		QueueLens:  phasesLens(),
 		MsgSize:    *msgSize,
@@ -955,15 +907,9 @@ func critpathExp() {
 	fmt.Printf("Causal critical-path analysis: %d-byte messages, final-iteration chains\n", *msgSize)
 	bench.RenderCritPath(os.Stdout, pts)
 	fmt.Println()
-	if *metricsOut != "" {
-		err := writeOutput(*metricsOut, func(w io.Writer) error {
-			return bench.WriteCritPathJSON(w, pts)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	profiling.MustWriteOutput("alpusim", "-metrics", *metricsOut, func(w io.Writer) error {
+		return bench.WriteCritPathJSON(w, pts)
+	})
 }
 
 // chaosExp re-runs the figure workloads over a faulty network and reports
@@ -973,12 +919,7 @@ func critpathExp() {
 func chaosExp() {
 	obsLabel("chaos")
 	var mixes []bench.ChaosMix
-	if *faultSpec != "" {
-		fm, err := network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
+	if fm := faultModel(); fm != nil {
 		mixes = []bench.ChaosMix{{Name: "custom", Faults: *fm}}
 	}
 	for _, kind := range []bench.NICKind{bench.Baseline, bench.ALPU128} {
@@ -1002,12 +943,7 @@ func chaosExp() {
 func devchaosExp() {
 	obsLabel("devchaos")
 	var scenarios []bench.DevChaosScenario
-	if *faultSpec != "" {
-		fm, err := network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
+	if fm := faultModel(); fm != nil {
 		scenarios = []bench.DevChaosScenario{{Name: "custom", Faults: *fm}}
 	}
 	fmt.Printf("Device chaos: soak under injected device faults vs clean software reference — seed %d\n", *faultSeed)

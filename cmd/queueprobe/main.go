@@ -32,14 +32,12 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
-
-	"flag"
 
 	"alpusim/internal/alpu"
 	"alpusim/internal/match"
@@ -85,9 +83,10 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	v := alpu.PostedReceives
-	if strings.HasPrefix(*variant, "unexp") {
-		v = alpu.UnexpectedMessages
+	v, err := alpu.ParseVariant(*variant)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "queueprobe: -variant:", err)
+		os.Exit(1)
 	}
 	cfg := alpu.DefaultConfig(v, *cells)
 	cfg.Geometry.BlockSize = *block
@@ -110,7 +109,12 @@ func main() {
 	// directly: after each command settles, the counters are harvested
 	// into a frozen snapshot the scrape handler serves from behind its
 	// own lock.
-	var srv *obs.Server
+	srv, stopServe, err := profiling.Serve("queueprobe", *serveAddr, obs.Options{}, *linger, "session")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "queueprobe: -serve:", err)
+		os.Exit(1)
+	}
+	defer stopServe()
 	publish := func() {
 		if srv == nil {
 			return
@@ -119,16 +123,7 @@ func main() {
 		dev.Publish(reg, "alpu")
 		srv.SetSnapshot(reg.Snapshot())
 	}
-	if *serveAddr != "" {
-		srv = obs.NewServer(obs.Options{})
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "queueprobe: -serve:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "queueprobe: observability plane on http://%s\n", addr)
-		publish()
-	}
+	publish()
 
 	var in *bufio.Scanner
 	if *demo {
@@ -165,43 +160,12 @@ func main() {
 		}
 		publish()
 	}
-	if *tracePath != "" {
-		if err := writeOutput(*tracePath, tracer.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "queueprobe: -trace:", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsOut != "" {
+	profiling.MustWriteOutput("queueprobe", "-trace", *tracePath, tracer.WriteJSON)
+	profiling.MustWriteOutput("queueprobe", "-metrics", *metricsOut, func(w io.Writer) error {
 		reg := telemetry.NewRegistry()
 		dev.Publish(reg, "alpu")
-		if err := writeOutput(*metricsOut, reg.Snapshot().WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "queueprobe: -metrics:", err)
-			os.Exit(1)
-		}
-	}
-	if srv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "queueprobe: session done; serving for another %v\n", *linger)
-			time.Sleep(*linger)
-		}
-		srv.Close()
-	}
-}
-
-// writeOutput writes to path via write, with "-" meaning stdout.
-func writeOutput(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return reg.Snapshot().WriteJSON(w)
+	})
 }
 
 // field parses a decimal or the wildcard "*".

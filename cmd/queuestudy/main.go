@@ -42,8 +42,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
+	"alpusim/internal/alpu"
 	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/obs"
@@ -124,6 +124,13 @@ func main() {
 		}
 		ranks = append(ranks, v)
 	}
+	if *cells == 0 {
+		*cells = nic.DefaultCells
+	}
+	if err := alpu.DefaultConfig(alpu.PostedReceives, *cells).Geometry.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "queuestudy: bad -cells: %v\n", err)
+		os.Exit(1)
+	}
 	fm, err := network.ParseFaults(*faultSpec, *faultSeed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "queuestudy: -faults: %v\n", err)
@@ -137,19 +144,18 @@ func main() {
 	if *flightSize != 0 {
 		opts = append(opts, workloads.WithFlightEvents(*flightSize))
 	}
-	var srv *obs.Server
+	var progress *sweep.Progress
 	if *serveAddr != "" {
-		progress := sweep.NewProgress()
+		progress = sweep.NewProgress()
 		progress.SetLabel("queuestudy")
 		sweep.SetProgress(progress)
-		srv = obs.NewServer(obs.Options{Progress: progress})
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "queuestudy: -serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "queuestudy: observability plane on http://%s\n", addr)
 	}
+	srv, stopServe, err := profiling.Serve("queuestudy", *serveAddr, obs.Options{Progress: progress}, *linger, "studies")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "queuestudy: -serve: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopServe()
 
 	fmt.Printf("Application queue study (refs [8]/[9] methodology), ALPU cells=%d\n", *cells)
 	if fm != nil {
@@ -308,28 +314,14 @@ func main() {
 		bt.Render(os.Stdout)
 		fmt.Println()
 	}
-	if *tracePath != "" {
-		err := writeOutput(*tracePath, func(w io.Writer) error {
-			return telemetry.WriteTrace(w, tracers...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "queuestudy: -trace: %v\n", err)
-			os.Exit(1)
-		}
+	profiling.MustWriteOutput("queuestudy", "-trace", *tracePath, func(w io.Writer) error {
+		return telemetry.WriteTrace(w, tracers...)
+	})
+	var merged telemetry.Snapshot
+	for _, rep := range reports {
+		merged.Merge(rep.Telemetry)
 	}
-	if *metricsOut != "" {
-		var merged telemetry.Snapshot
-		for _, rep := range reports {
-			merged.Merge(rep.Telemetry)
-		}
-		err := writeOutput(*metricsOut, func(w io.Writer) error {
-			return merged.WriteJSON(w)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "queuestudy: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	profiling.MustWriteOutput("queuestudy", "-metrics", *metricsOut, merged.WriteJSON)
 	if wantReport {
 		// Fold the per-run samplers under study-scoped prefixes
 		// ("halo/r8/alpu/..."), as the waterline names in the report. The
@@ -347,22 +339,12 @@ func main() {
 		for _, p := range phases {
 			totals.Merge(p.Totals())
 		}
-		var merged telemetry.Snapshot
-		for _, rep := range reports {
-			merged.Merge(rep.Telemetry)
-		}
 		rep := &obs.Report{Title: title, Series: series, Phases: totals, Snapshot: merged}
 		html, tsJSON := rep.HTML(), rep.TimeseriesJSON()
-		if *reportOut != "" {
-			err := writeOutput(*reportOut, func(w io.Writer) error {
-				_, err := w.Write(html)
-				return err
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "queuestudy: -report: %v\n", err)
-				os.Exit(1)
-			}
-		}
+		profiling.MustWriteOutput("queuestudy", "-report", *reportOut, func(w io.Writer) error {
+			_, err := w.Write(html)
+			return err
+		})
 		if srv != nil {
 			srv.SetReport(html, tsJSON)
 		}
@@ -371,27 +353,4 @@ func main() {
 	fmt.Println("count for manager/worker and storm patterns (the paper's motivation);")
 	fmt.Println("the ALPU collapses software traversals and pays off exactly there,")
 	fmt.Println("while staying near-neutral for short-queue nearest-neighbour codes.")
-	if srv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "queuestudy: studies done; serving for another %v\n", *linger)
-			time.Sleep(*linger)
-		}
-		srv.Close()
-	}
-}
-
-// writeOutput writes to path via write, with "-" meaning stdout.
-func writeOutput(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

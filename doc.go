@@ -9,9 +9,11 @@
 // The library lives under internal/ (see DESIGN.md for the module map);
 // the runnable surfaces are:
 //
-//   - cmd/alpusim:    rerun any experiment (figures, tables, anchors)
-//   - cmd/fpgareport: Tables IV/V next to the published values
+//   - cmd/alpusim:    rerun any experiment (figures, tables, anchors);
+//     tab4/tab5 print Tables IV/V next to the published values
 //   - cmd/queueprobe: drive the ALPU device model interactively
+//   - cmd/queuestudy: the refs [8]/[9] application queue study
+//   - cmd/alpurtl:    emit the ALPU as Verilog
 //   - examples/...:   quickstart, preposted, unexpected, alpudirect
 //
 // The benchmarks in bench_test.go regenerate every table and figure of

@@ -40,6 +40,18 @@ func (v Variant) String() string {
 	return "unexpected-messages"
 }
 
+// ParseVariant reads a command-line variant name: "posted", or
+// "unexpected" (also "unexp").
+func ParseVariant(s string) (Variant, error) {
+	switch s {
+	case "posted":
+		return PostedReceives, nil
+	case "unexpected", "unexp":
+		return UnexpectedMessages, nil
+	}
+	return 0, fmt.Errorf("alpu: unknown variant %q (want posted or unexpected)", s)
+}
+
 // Geometry describes an ALPU build point (§VI-A explored 128/256 cells
 // with block sizes 8/16/32).
 type Geometry struct {

@@ -8,7 +8,6 @@ import (
 	"alpusim/internal/params"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
-	"alpusim/internal/trace"
 )
 
 // Config describes a Device build point and its timing.
@@ -112,7 +111,7 @@ type Stats struct {
 	// SearchCycles distributes per-probe search service time in device
 	// clock cycles (pipeline occupancy plus any stuck-step stall), the
 	// device-side complement of the firmware's match-depth histograms.
-	SearchCycles trace.Histogram
+	SearchCycles telemetry.Histogram
 }
 
 // Device is the cycle-level ALPU model. It runs as its own co-simulated
@@ -304,7 +303,7 @@ func (d *Device) Publish(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix + "/result_stalls").Set(s.ResultStalls)
 	reg.Gauge(prefix + "/max_occupancy").SetMax(int64(s.MaxOccupancy))
 	reg.Gauge(prefix + "/occupancy").Set(int64(d.Occupancy()))
-	reg.Histogram(prefix + "/search_cycles").Set(s.SearchCycles)
+	*reg.Histogram(prefix + "/search_cycles") = s.SearchCycles
 	if d.cfg.Faults.Active() {
 		reg.Counter(prefix + "/faults/bit_flips").Set(s.BitFlips)
 		reg.Counter(prefix + "/faults/parity_quarantines").Set(s.ParityFaults)

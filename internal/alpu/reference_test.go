@@ -120,6 +120,32 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+func TestParseVariant(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Variant
+		ok   bool
+	}{
+		{"posted", PostedReceives, true},
+		{"unexpected", UnexpectedMessages, true},
+		{"unexp", UnexpectedMessages, true},
+		{"", 0, false},
+		{"bogus", 0, false},
+		{"Posted", 0, false},
+		{"unexpectedly", 0, false},
+		{"posted-receives", 0, false},
+	} {
+		got, err := ParseVariant(tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseVariant(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseVariant(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestGeometryPipelineCycles(t *testing.T) {
 	// The six published build points (Tables IV/V).
 	cases := []struct {

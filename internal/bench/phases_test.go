@@ -8,7 +8,6 @@ import (
 	"alpusim/internal/network"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
-	"alpusim/internal/trace"
 )
 
 // The acceptance check of the phase experiment: for every NIC kind the
@@ -219,7 +218,7 @@ func TestALPUSearchCyclesHistogramPublished(t *testing.T) {
 	}
 }
 
-func keysOf(m map[string]trace.Histogram) []string {
+func keysOf(m map[string]telemetry.Histogram) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -10,7 +10,6 @@ import (
 	"alpusim/internal/stats"
 	"alpusim/internal/sweep"
 	"alpusim/internal/telemetry"
-	"alpusim/internal/trace"
 	"alpusim/internal/workloads"
 )
 
@@ -86,7 +85,7 @@ type TenancyRow struct {
 // matchLatNs merges the per-NIC match-latency histograms (64 ns units)
 // and returns the p-quantile in nanoseconds.
 func matchLatNs(rep workloads.Report, p float64) int64 {
-	var h trace.Histogram
+	var h telemetry.Histogram
 	for name, hh := range rep.Telemetry.Hists {
 		if strings.HasSuffix(name, "/posted/match_lat64") {
 			h.Merge(&hh)

@@ -39,18 +39,6 @@ func PrototypeParams(v alpu.Variant, cells, blockSize int) Params {
 	}
 }
 
-// PortalsParams returns the full-width build point of §III-A: 64 match
-// bits with a stored mask bit for each (footnote 7's "worst case" that
-// supports protocols beyond MPI, such as Portals).
-func PortalsParams(cells, blockSize int) Params {
-	return Params{
-		Geometry:   alpu.Geometry{Cells: cells, BlockSize: blockSize},
-		MatchWidth: 64,
-		TagWidth:   16,
-		Masked:     true,
-	}
-}
-
 // Estimate is the resource/speed report for one build point, matching the
 // columns of Tables IV and V.
 type Estimate struct {
@@ -191,4 +179,39 @@ func PublishedFor(v alpu.Variant) []Published {
 		return PublishedPosted
 	}
 	return PublishedUnexpected
+}
+
+// Comparison is one published build point beside the estimator's figures
+// for it: the row Tables IV/V print and the validation test checks.
+type Comparison struct {
+	Published
+	Est Estimate
+	// LUTErr, FFErr and SliceErr are the relative errors of the resource
+	// columns, as fractions of the published value.
+	LUTErr, FFErr, SliceErr float64
+}
+
+// MaxErr returns the largest relative error across the resource columns.
+func (c Comparison) MaxErr() float64 { return max(c.LUTErr, c.FFErr, c.SliceErr) }
+
+// Compare estimates every published build point of a variant, in table
+// order.
+func Compare(v alpu.Variant) []Comparison {
+	pubs := PublishedFor(v)
+	out := make([]Comparison, len(pubs))
+	for i, pub := range pubs {
+		e := PrototypeParams(v, pub.Cells, pub.BlockSize).Estimate()
+		out[i] = Comparison{
+			Published: pub,
+			Est:       e,
+			LUTErr:    relErr(e.LUTs, pub.LUTs),
+			FFErr:     relErr(e.FFs, pub.FFs),
+			SliceErr:  relErr(e.Slices, pub.Slices),
+		}
+	}
+	return out
+}
+
+func relErr(got, want int) float64 {
+	return math.Abs(float64(got-want)) / float64(want)
 }

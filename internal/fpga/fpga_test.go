@@ -7,37 +7,48 @@ import (
 	"alpusim/internal/alpu"
 )
 
-func relErr(got, want int) float64 {
-	return math.Abs(float64(got-want)) / float64(want)
-}
-
 // The estimator must land on the published Tables IV and V within the
-// documented tolerances.
+// documented tolerances. The rows come from Compare, the same computation
+// behind the max-error column of alpusim's tab4/tab5, so the printed
+// column and the bounds checked here cannot drift apart.
 func TestEstimatorMatchesPublishedTables(t *testing.T) {
 	for _, v := range []alpu.Variant{alpu.PostedReceives, alpu.UnexpectedMessages} {
-		for _, pub := range PublishedFor(v) {
-			p := PrototypeParams(v, pub.Cells, pub.BlockSize)
-			e := p.Estimate()
+		rows := Compare(v)
+		if len(rows) != len(PublishedFor(v)) {
+			t.Fatalf("%s: Compare returned %d rows, want %d", v, len(rows), len(PublishedFor(v)))
+		}
+		for i, c := range rows {
 			name := v.String()
-			if err := relErr(e.FFs, pub.FFs); err > 0.003 {
+			e := c.Est
+			if c.Published != PublishedFor(v)[i] {
+				t.Errorf("%s row %d: %+v, want published order %+v", name, i, c.Published, PublishedFor(v)[i])
+			}
+			if e != PrototypeParams(v, c.Cells, c.BlockSize).Estimate() {
+				t.Errorf("%s %d/%d: Compare estimate %+v is not Estimate()", name, c.Cells, c.BlockSize, e)
+			}
+			if c.FFErr > 0.003 {
 				t.Errorf("%s %d/%d: FFs %d vs published %d (%.2f%%)",
-					name, pub.Cells, pub.BlockSize, e.FFs, pub.FFs, err*100)
+					name, c.Cells, c.BlockSize, e.FFs, c.FFs, c.FFErr*100)
 			}
-			if err := relErr(e.LUTs, pub.LUTs); err > 0.003 {
+			if c.LUTErr > 0.003 {
 				t.Errorf("%s %d/%d: LUTs %d vs published %d (%.2f%%)",
-					name, pub.Cells, pub.BlockSize, e.LUTs, pub.LUTs, err*100)
+					name, c.Cells, c.BlockSize, e.LUTs, c.LUTs, c.LUTErr*100)
 			}
-			if err := relErr(e.Slices, pub.Slices); err > 0.025 {
+			if c.SliceErr > 0.025 {
 				t.Errorf("%s %d/%d: slices %d vs published %d (%.2f%%)",
-					name, pub.Cells, pub.BlockSize, e.Slices, pub.Slices, err*100)
+					name, c.Cells, c.BlockSize, e.Slices, c.Slices, c.SliceErr*100)
 			}
-			if d := math.Abs(e.FreqMHz - pub.FreqMHz); d > 1.5 {
+			if c.MaxErr() > 0.025 {
+				t.Errorf("%s %d/%d: max error %.2f%%, want within 2.5%%",
+					name, c.Cells, c.BlockSize, c.MaxErr()*100)
+			}
+			if d := math.Abs(e.FreqMHz - c.FreqMHz); d > 1.5 {
 				t.Errorf("%s %d/%d: freq %.1f vs published %.1f",
-					name, pub.Cells, pub.BlockSize, e.FreqMHz, pub.FreqMHz)
+					name, c.Cells, c.BlockSize, e.FreqMHz, c.FreqMHz)
 			}
-			if e.LatencyCycles != pub.LatencyCycles {
+			if e.LatencyCycles != c.LatencyCycles {
 				t.Errorf("%s %d/%d: latency %d vs published %d",
-					name, pub.Cells, pub.BlockSize, e.LatencyCycles, pub.LatencyCycles)
+					name, c.Cells, c.BlockSize, e.LatencyCycles, c.LatencyCycles)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ package mpi
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"strings"
@@ -491,7 +490,7 @@ func (w *World) finalizeSeries() {
 	w.seriesShards = nil
 }
 
-// flightTracer returns the recorder WriteFlight and dumpFlight render:
+// flightTracer returns the recorder dumpFlight renders:
 // the partition shards merged into one canonical timeline (nil when
 // recording is off). Each partition ring bounds its own history, so a
 // dump can retain up to Partitions x FlightEvents events.
@@ -513,16 +512,6 @@ func (w *World) FlightStats() (events int, dropped uint64) {
 		dropped += sh.Dropped()
 	}
 	return events, dropped
-}
-
-// WriteFlight writes the flight recorder's retained events as
-// Perfetto-loadable trace JSON. It errors when recording is off.
-func (w *World) WriteFlight(out io.Writer) error {
-	t := w.flightTracer()
-	if t == nil {
-		return fmt.Errorf("mpi: no flight recorder configured")
-	}
-	return telemetry.WriteTrace(out, t)
 }
 
 // dumpFlight writes the flight recorder to the configured dump path.

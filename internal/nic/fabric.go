@@ -34,7 +34,7 @@ import (
 	"alpusim/internal/match"
 	"alpusim/internal/params"
 	"alpusim/internal/proc"
-	"alpusim/internal/trace"
+	"alpusim/internal/telemetry"
 )
 
 // fabricState is the NIC-side fabric bookkeeping. All mutation happens on
@@ -50,8 +50,8 @@ type fabricState struct {
 	wildPurges     uint64 // completed wildcards whose siblings were purged
 	staleWildHits  uint64 // device successes consumed after invalidation
 
-	peakPosted int             // fabric-wide posted-queue high-water mark
-	shardDepth trace.Histogram // owner-shard depth sampled at each post
+	peakPosted int                 // fabric-wide posted-queue high-water mark
+	shardDepth telemetry.Histogram // owner-shard depth sampled at each post
 }
 
 // wildGroup ties the broadcast copies of one ANY_SOURCE receive together:
@@ -284,7 +284,7 @@ func (n *NIC) publishFabric(pre string) {
 	n.reg.Counter(pre + "/fabric/overflow_promotions").Set(promo)
 	n.reg.Counter(pre + "/fabric/overflow_demotions").Set(demo)
 	n.reg.Gauge(pre + "/fabric/peak_posted").SetMax(int64(n.fab.peakPosted))
-	n.reg.Histogram(pre + "/fabric/shard_depth").Set(n.fab.shardDepth)
+	*n.reg.Histogram(pre + "/fabric/shard_depth") = n.fab.shardDepth
 }
 
 // fabricMaintain runs at the firmware loop top: retire stale-tag

@@ -29,7 +29,6 @@ import (
 	"alpusim/internal/params"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
-	"alpusim/internal/trace"
 )
 
 // ReqKind distinguishes host requests.
@@ -68,7 +67,8 @@ type Config struct {
 
 	// UseALPU enables the two matching units.
 	UseALPU bool
-	// Cells is the ALPU capacity (the paper evaluates 128 and 256).
+	// Cells is the ALPU capacity (the paper evaluates 128 and 256); 0
+	// means DefaultCells.
 	Cells int
 	// Threshold is the §VI-B software heuristic: the ALPU is not engaged
 	// until the queue reaches this length.
@@ -380,6 +380,9 @@ func (a *addrAlloc) get() uint64 {
 
 func (a *addrAlloc) put(addr uint64) { a.free = append(a.free, addr) }
 
+// DefaultCells is the ALPU capacity of a Config that leaves Cells at 0.
+const DefaultCells = 256
+
 // New creates a NIC bound to endpoint cfg.ID of net and starts its
 // firmware process.
 func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
@@ -393,7 +396,7 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 		panic("nic: MatchShards requires UseALPU")
 	}
 	if cfg.UseALPU && cfg.Cells == 0 {
-		cfg.Cells = 256
+		cfg.Cells = DefaultCells
 	}
 	cpu := params.NICCPU()
 	if cfg.CPUProfile != nil {
@@ -519,8 +522,7 @@ func (n *NIC) registerProbes(sa *telemetry.Sampler) {
 	sa.Probe(pre+"/rxq/depth", func() int64 { return int64(n.ep.RxQ.Len()) })
 	sa.Probe(pre+"/hostq/depth", func() int64 { return int64(n.HostQ.Len()) })
 	sa.Probe(pre+"/posted/match_lat64_p99", func() int64 {
-		h := n.matchLat.Hist()
-		return int64(h.Percentile(0.99))
+		return int64(n.matchLat.Percentile(0.99))
 	})
 	if n.cfg.Reliable {
 		sa.Probe(pre+"/rel/window", func() int64 { return int64(n.RelPending()) })
@@ -663,29 +665,21 @@ func (n *NIC) noteError(err *ProtocolError) {
 // PostedDepths returns a copy of the posted-receive match-depth histogram
 // (how many entries sat ahead of each match — the refs [8]/[9] metric).
 // Under the fabric the per-shard histograms are merged.
-func (n *NIC) PostedDepths() *trace.Histogram {
+func (n *NIC) PostedDepths() *telemetry.Histogram {
 	if n.fab != nil {
-		var h trace.Histogram
+		var h telemetry.Histogram
 		for _, q := range n.fab.shards {
-			qh := q.depths.Hist()
-			h.Merge(&qh)
+			h.Merge(q.depths)
 		}
 		return &h
 	}
-	h := n.posted.depths.Hist()
-	return &h
-}
-
-// MatchLatencies returns a copy of the posted-side match latency
-// histogram; one sample per incoming header, in units of 64 ns.
-func (n *NIC) MatchLatencies() *trace.Histogram {
-	h := n.matchLat.Hist()
+	h := *n.posted.depths
 	return &h
 }
 
 // UnexpDepths returns a copy of the unexpected-queue match-depth histogram.
-func (n *NIC) UnexpDepths() *trace.Histogram {
-	h := n.unexp.depths.Hist()
+func (n *NIC) UnexpDepths() *telemetry.Histogram {
+	h := *n.unexp.depths
 	return &h
 }
 

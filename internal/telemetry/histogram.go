@@ -1,10 +1,4 @@
-// Package trace provides the queue-behaviour instrumentation behind the
-// paper's motivation: refs [8] and [9] measured how deep real
-// applications' posted-receive and unexpected queues grow and how far
-// matches land in them — the numbers that justify offloading list
-// processing in the first place. The workloads package uses these
-// recorders to reproduce that style of study on the simulated cluster.
-package trace
+package telemetry
 
 import (
 	"fmt"
@@ -12,7 +6,12 @@ import (
 )
 
 // Histogram is a fixed-bucket depth histogram with power-of-two-ish
-// bucket edges suited to queue depths (0, 1, 2, 3-4, 5-8, ..., >4096).
+// bucket edges suited to queue depths (0, 1, 2, 3-4, 5-8, ..., >4096):
+// the queue-behaviour instrument behind the paper's motivation, where
+// refs [8] and [9] measured how deep real applications' posted-receive
+// and unexpected queues grow and how far matches land in them. It is
+// both a plain value (workload reports, per-component accumulators) and
+// a registry handle (Registry.Histogram).
 type Histogram struct {
 	counts [14]uint64
 	sum    uint64
@@ -23,8 +22,11 @@ type Histogram struct {
 // bucketEdges are the inclusive upper bounds of each bucket.
 var bucketEdges = [13]int{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 
-// Add records one observation.
+// Add records one observation (a no-op on a nil handle).
 func (h *Histogram) Add(depth int) {
+	if h == nil {
+		return
+	}
 	if depth < 0 {
 		depth = 0
 	}

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"alpusim/internal/stats"
-	"alpusim/internal/trace"
 )
 
 // Counter is a monotonically increasing metric handle.
@@ -87,34 +86,6 @@ func (g *Gauge) Get() int64 {
 		return 0
 	}
 	return g.v
-}
-
-// Histogram is a registry-owned fixed-bucket histogram (the trace
-// package's queue-depth bucket scheme).
-type Histogram struct{ h trace.Histogram }
-
-// Add records one observation.
-func (h *Histogram) Add(v int) {
-	if h != nil {
-		h.h.Add(v)
-	}
-}
-
-// Set overwrites the underlying histogram wholesale — the harvest path
-// for components that accumulate into their own trace.Histogram and
-// publish it at snapshot time (idempotent, like Counter.Set).
-func (h *Histogram) Set(v trace.Histogram) {
-	if h != nil {
-		h.h = v
-	}
-}
-
-// Hist returns a copy of the underlying histogram.
-func (h *Histogram) Hist() trace.Histogram {
-	if h == nil {
-		return trace.Histogram{}
-	}
-	return h.h
 }
 
 // Registry is a set of named metrics. Names are hierarchical
@@ -206,9 +177,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.v
 	}
-	s.Hists = make(map[string]trace.Histogram, len(r.hists))
+	s.Hists = make(map[string]Histogram, len(r.hists))
 	for name, h := range r.hists {
-		s.Hists[name] = h.h
+		s.Hists[name] = *h
 	}
 	return s
 }
@@ -218,7 +189,7 @@ func (r *Registry) Snapshot() Snapshot {
 type Snapshot struct {
 	Counters map[string]uint64
 	Gauges   map[string]int64
-	Hists    map[string]trace.Histogram
+	Hists    map[string]Histogram
 }
 
 // Merge folds other into s: counters sum, gauges take the maximum,
@@ -242,7 +213,7 @@ func (s *Snapshot) Merge(other Snapshot) {
 	}
 	for name, h := range other.Hists {
 		if s.Hists == nil {
-			s.Hists = make(map[string]trace.Histogram)
+			s.Hists = make(map[string]Histogram)
 		}
 		cur := s.Hists[name]
 		cur.Merge(&h)

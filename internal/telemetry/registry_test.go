@@ -28,9 +28,9 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil gauge Get != 0")
 	}
 	h := r.Histogram("x")
-	h.Add(2)
-	if hh := h.Hist(); hh.N() != 0 {
-		t.Error("nil histogram recorded")
+	h.Add(2) // must not panic
+	if h != nil {
+		t.Error("nil registry returned a non-nil histogram")
 	}
 	s := r.Snapshot()
 	if len(s.Counters)+len(s.Gauges)+len(s.Hists) != 0 {
@@ -87,10 +87,13 @@ func TestRegistryHandles(t *testing.T) {
 
 	h := r.Histogram("nic0/posted/match_depth")
 	h.Add(3)
-	cp := h.Hist()
-	cp.Add(99) // mutating the copy must not touch the registry
-	if back := r.Histogram("nic0/posted/match_depth").Hist(); back.N() != 1 {
-		t.Errorf("histogram N = %d, want 1 (Hist() did not copy)", back.N())
+	if r.Histogram("nic0/posted/match_depth") != h {
+		t.Error("histogram handle not cached by name")
+	}
+	cp := r.Snapshot().Hists["nic0/posted/match_depth"]
+	cp.Add(99) // mutating the snapshot copy must not touch the registry
+	if h.N() != 1 {
+		t.Errorf("histogram N = %d, want 1 (snapshot did not copy)", h.N())
 	}
 }
 

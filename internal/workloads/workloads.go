@@ -17,7 +17,6 @@ import (
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
-	"alpusim/internal/trace"
 )
 
 // Option adjusts the mpi.Config a workload runs under. Options compose
@@ -41,12 +40,6 @@ func WithWatchdog(limit sim.Time) Option {
 // default when a watchdog is armed, n < 0 disables the recorder.
 func WithFlightEvents(n int) Option {
 	return func(cfg *mpi.Config) { cfg.FlightEvents = n }
-}
-
-// WithTelemetry runs the workload against an externally owned metrics
-// registry (one per world — see telemetry.Registry).
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(cfg *mpi.Config) { cfg.Telemetry = reg }
 }
 
 // WithTracer records the workload's run as Chrome trace events.
@@ -81,8 +74,8 @@ type Report struct {
 	// Queue behaviour aggregated over all NICs.
 	PeakPosted   int
 	PeakUnexp    int
-	PostedDepths trace.Histogram
-	UnexpDepths  trace.Histogram
+	PostedDepths telemetry.Histogram
+	UnexpDepths  telemetry.Histogram
 
 	// Firmware aggregates.
 	EntriesTraversed uint64
@@ -98,8 +91,7 @@ type Report struct {
 	ProtocolErrors uint64
 
 	// Telemetry is the world's harvested metrics snapshot; every world
-	// owns a registry (WithTelemetry substitutes an external one), so
-	// this is populated on every run.
+	// owns a registry, so this is populated on every run.
 	Telemetry telemetry.Snapshot
 }
 
