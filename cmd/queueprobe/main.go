@@ -105,16 +105,16 @@ func main() {
 	fmt.Printf("ALPU %s: %d cells, block %d, %d-cycle pipeline at %.0f MHz\n",
 		v, *cells, *block, cfg.MatchCycles, cfg.Clock.Freq())
 
-	// The REPL is single-threaded, so the server never reads the device
-	// directly: after each command settles, the counters are harvested
-	// into a frozen snapshot the scrape handler serves from behind its
-	// own lock.
 	srv, stopServe, err := profiling.Serve("queueprobe", *serveAddr, obs.Options{}, *linger, "session")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "queueprobe: -serve:", err)
 		os.Exit(1)
 	}
 	defer stopServe()
+	// The REPL is single-threaded, so the server never reads the device
+	// directly: after each command settles, the counters are harvested
+	// into a frozen snapshot the scrape handler serves from behind its
+	// own lock.
 	publish := func() {
 		if srv == nil {
 			return
