@@ -205,6 +205,10 @@ func obsLabel(name string) { progressTracker.SetLabel(name) }
 
 func main() {
 	flag.Parse()
+	if *msgSize < 0 {
+		fmt.Fprintf(os.Stderr, "alpusim: -size: payload of %d bytes is negative\n", *msgSize)
+		os.Exit(2)
+	}
 	if *jobs < 1 {
 		*jobs = runtime.GOMAXPROCS(0)
 	}

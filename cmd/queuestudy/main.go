@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -104,6 +105,18 @@ func runners() []runner {
 	}
 }
 
+// checkWorkload accepts "all" or the name of one runner.
+func checkWorkload(name string) error {
+	names := []string{"all"}
+	for _, r := range runners() {
+		names = append(names, r.name)
+	}
+	if slices.Contains(names, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
 func main() {
 	flag.Parse()
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
@@ -123,6 +136,10 @@ func main() {
 			os.Exit(1)
 		}
 		ranks = append(ranks, v)
+	}
+	if err := checkWorkload(*workload); err != nil {
+		fmt.Fprintf(os.Stderr, "queuestudy: bad -workload: %v\n", err)
+		os.Exit(1)
 	}
 	if *cells == 0 {
 		*cells = nic.DefaultCells

@@ -4,7 +4,10 @@
 // Table III latencies.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Policy selects the replacement policy.
 type Policy int
@@ -36,16 +39,24 @@ type Config struct {
 // are only ever invalidated together (Flush), and a miss fills the first
 // invalid way, so a set's valid ways are always a prefix and fill[s] is
 // its first invalid way. The arrays are allocated on the first Access, so
-// a hierarchy that is built but never used costs no line state.
+// a hierarchy that is built but never used costs no line state; a Random
+// cache never reads use ticks, so it has no lru array at all.
+//
+// Line size, set count and way count are powers of two, so an address
+// splits into line, set and tag with shifts and masks, not divisions.
 type Cache struct {
-	cfg     Config
-	numSets int
-	tags    []uint64 // line tag+1 per way; 0 = invalid
-	lru     []uint64 // last-use tick per way
-	dirty   []bool   // per way
-	fill    []int32  // valid ways per set
-	ticks   uint64
-	rng     uint64 // xorshift state for Random replacement (deterministic)
+	cfg       Config
+	numSets   int
+	lineShift uint     // log2(LineSize)
+	setShift  uint     // log2(numSets)
+	setMask   uint64   // numSets-1
+	wayMask   uint64   // Assoc-1
+	tags      []uint64 // line tag+1 per way; 0 = invalid
+	lru       []uint64 // last-use tick per way (LRU policy only)
+	dirty     []bool   // per way
+	fill      []int32  // valid ways per set
+	ticks     uint64
+	rng       uint64 // xorshift state for Random replacement (deterministic)
 
 	// Stats.
 	accesses   uint64
@@ -54,25 +65,39 @@ type Cache struct {
 }
 
 // New returns an empty cache. It panics on a geometry that does not divide
-// evenly or a line size that is not a power of two (Touch and memsys round
-// addresses down to a line with a mask), since that is a configuration bug.
+// evenly, or whose line size, set count or way count is not a power of
+// two (addresses are split with shifts and masks), since that is a
+// configuration bug.
 func New(cfg Config) *Cache {
 	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
 	}
-	if cfg.LineSize&(cfg.LineSize-1) != 0 {
+	if !pow2(cfg.LineSize) {
 		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineSize))
+	}
+	if !pow2(cfg.Assoc) {
+		panic(fmt.Sprintf("cache: assoc %d is not a power of two", cfg.Assoc))
 	}
 	lines := cfg.Size / cfg.LineSize
 	if lines%cfg.Assoc != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by assoc %d", lines, cfg.Assoc))
 	}
+	numSets := lines / cfg.Assoc
+	if !pow2(numSets) {
+		panic(fmt.Sprintf("cache: %d sets is not a power of two", numSets))
+	}
 	return &Cache{
-		cfg:     cfg,
-		numSets: lines / cfg.Assoc,
-		rng:     0x9e3779b97f4a7c15,
+		cfg:       cfg,
+		numSets:   numSets,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(numSets))),
+		setMask:   uint64(numSets - 1),
+		wayMask:   uint64(cfg.Assoc - 1),
+		rng:       0x9e3779b97f4a7c15,
 	}
 }
+
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // nextRand is a deterministic xorshift64 step.
 func (c *Cache) nextRand() uint64 {
@@ -92,8 +117,8 @@ type Result struct {
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	lineAddr := addr / uint64(c.cfg.LineSize)
-	return int(lineAddr % uint64(c.numSets)), lineAddr / uint64(c.numSets)
+	lineAddr := addr >> c.lineShift
+	return int(lineAddr & c.setMask), lineAddr >> c.setShift
 }
 
 // Access looks up addr, allocating on miss, and returns what happened.
@@ -107,7 +132,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		for i, t := range c.tags[base:end] {
 			if t == stored {
 				c.hits++
-				c.lru[base+i] = c.ticks
+				if c.lru != nil {
+					c.lru[base+i] = c.ticks
+				}
 				if write {
 					c.dirty[base+i] = true
 				}
@@ -125,7 +152,9 @@ func (c *Cache) miss(setIdx int, stored uint64, write bool) Result {
 	if c.tags == nil {
 		n := c.numSets * c.cfg.Assoc
 		c.tags = make([]uint64, n)
-		c.lru = make([]uint64, n)
+		if c.cfg.Policy == LRU {
+			c.lru = make([]uint64, n)
+		}
 		c.dirty = make([]bool, n)
 		c.fill = make([]int32, c.numSets)
 	}
@@ -136,7 +165,7 @@ func (c *Cache) miss(setIdx int, stored uint64, write bool) Result {
 		c.fill[setIdx]++
 	} else {
 		if c.cfg.Policy == Random {
-			way = int(c.nextRand() % uint64(c.cfg.Assoc))
+			way = int(c.nextRand() & c.wayMask)
 		} else {
 			lru := c.lru[base : base+c.cfg.Assoc]
 			way = 0
@@ -153,7 +182,9 @@ func (c *Cache) miss(setIdx int, stored uint64, write bool) Result {
 		}
 	}
 	c.tags[base+way] = stored
-	c.lru[base+way] = c.ticks
+	if c.lru != nil {
+		c.lru[base+way] = c.ticks
+	}
 	c.dirty[base+way] = write
 	return res
 }
@@ -175,7 +206,7 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // victimAddr reconstructs a line's base address from its set and tag.
 func (c *Cache) victimAddr(set int, tag uint64) uint64 {
-	return (tag*uint64(c.numSets) + uint64(set)) * uint64(c.cfg.LineSize)
+	return (tag<<c.setShift | uint64(set)) << c.lineShift
 }
 
 // Touch loads every line of [addr, addr+size), as the firmware does when it

@@ -170,6 +170,10 @@ func TestBadConfigPanics(t *testing.T) {
 		// which walks the wrong lines unless the line size is a power of 2.
 		{"48-byte line", Config{Size: 48 * 64, Assoc: 2, LineSize: 48}},
 		{"lines not divisible by assoc", Config{Size: 96, Assoc: 2, LineSize: 32}},
+		// Addresses split into set and tag with shifts and masks, and the
+		// Random victim is a masked draw.
+		{"3 ways", Config{Size: 3 * 4 * 32, Assoc: 3, LineSize: 32}},
+		{"6 sets", Config{Size: 6 * 2 * 32, Assoc: 2, LineSize: 32}},
 	} {
 		func() {
 			defer func() {
@@ -228,5 +232,18 @@ func TestLRUShadowModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A Random cache never reads use ticks, so it allocates no lru array; an
+// LRU cache does.
+func TestOnlyLRUCachesTrackUse(t *testing.T) {
+	for _, pol := range []Policy{LRU, Random} {
+		c := New(Config{Size: 1024, Assoc: 4, LineSize: 32, Policy: pol})
+		c.Access(0x40, false)
+		c.Access(0x40, true)
+		if got := c.lru != nil; got != (pol == LRU) {
+			t.Errorf("policy %d: lru array allocated = %v", pol, got)
+		}
 	}
 }

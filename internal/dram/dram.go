@@ -6,6 +6,9 @@
 package dram
 
 import (
+	"fmt"
+	"math/bits"
+
 	"alpusim/internal/params"
 	"alpusim/internal/sim"
 )
@@ -36,10 +39,15 @@ type bank struct {
 	busyUntil sim.Time
 }
 
-// DRAM is a bank-interleaved open-row memory model.
+// DRAM is a bank-interleaved open-row memory model. Bank count and row
+// size are powers of two, so an address splits into bank and row with
+// shifts and a mask.
 type DRAM struct {
-	cfg   Config
-	banks []bank
+	cfg       Config
+	banks     []bank
+	rowShift  uint   // log2(RowBytes)
+	bankShift uint   // log2(Banks)
+	bankMask  uint64 // Banks-1
 
 	// Stats.
 	accesses uint64
@@ -47,7 +55,10 @@ type DRAM struct {
 	stalls   sim.Time
 }
 
-// New returns a DRAM with all rows closed.
+// New returns a DRAM with all rows closed. A zero bank count or row size
+// takes the default (1 bank, 1024-byte rows); it panics on a bank count
+// or row size that is not a power of two, since that is a configuration
+// bug.
 func New(cfg Config) *DRAM {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
@@ -55,14 +66,26 @@ func New(cfg Config) *DRAM {
 	if cfg.RowBytes <= 0 {
 		cfg.RowBytes = 1024
 	}
-	return &DRAM{cfg: cfg, banks: make([]bank, cfg.Banks)}
+	if cfg.Banks&(cfg.Banks-1) != 0 {
+		panic(fmt.Sprintf("dram: %d banks is not a power of two", cfg.Banks))
+	}
+	if cfg.RowBytes&(cfg.RowBytes-1) != 0 {
+		panic(fmt.Sprintf("dram: row size %d is not a power of two", cfg.RowBytes))
+	}
+	return &DRAM{
+		cfg:       cfg,
+		banks:     make([]bank, cfg.Banks),
+		rowShift:  uint(bits.TrailingZeros64(uint64(cfg.RowBytes))),
+		bankShift: uint(bits.TrailingZeros(uint(cfg.Banks))),
+		bankMask:  uint64(cfg.Banks - 1),
+	}
 }
 
 // bankRow maps an address to its bank and row. Consecutive rows interleave
 // across banks, the usual mapping for streaming-friendly parts.
 func (d *DRAM) bankRow(addr uint64) (int, int64) {
-	row := int64(addr) / d.cfg.RowBytes
-	return int(row % int64(d.cfg.Banks)), row / int64(d.cfg.Banks)
+	row := addr >> d.rowShift
+	return int(row & d.bankMask), int64(row >> d.bankShift)
 }
 
 // Access models one line fill or writeback beginning at time now. It

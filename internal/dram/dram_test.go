@@ -112,3 +112,31 @@ func TestStreamingRowHits(t *testing.T) {
 		t.Fatalf("stream: %d misses, %d hits; want 1, 15", miss, hit)
 	}
 }
+
+func TestBadConfigPanics(t *testing.T) {
+	for _, c := range []Config{{Banks: 3, RowBytes: 1024}, {Banks: 4, RowBytes: 1000}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", c)
+				}
+			}()
+			New(c)
+		}()
+	}
+}
+
+// The shift-and-mask split must map every address to the bank and row the
+// division it replaces gives.
+func TestBankRowMatchesDivision(t *testing.T) {
+	for _, c := range []Config{cfg(), DefaultConfig(), {}} {
+		d := New(c)
+		rowBytes, banks := uint64(d.cfg.RowBytes), uint64(d.cfg.Banks)
+		for _, addr := range []uint64{0, 63, 1023, 1024, 4095, 4096, 0x1_0000, 0x800_0000 + 8*4095, 0x9e37_79b9_7f4a_7c15 >> 1} {
+			b, row := d.bankRow(addr)
+			if wantB, wantRow := int(addr/rowBytes%banks), int64(addr/rowBytes/banks); b != wantB || row != wantRow {
+				t.Errorf("%+v: bankRow(%#x) = %d, %d, want %d, %d", c, addr, b, row, wantB, wantRow)
+			}
+		}
+	}
+}

@@ -17,6 +17,8 @@ import (
 )
 
 // Request is the host-side handle for an operation dispatched to the NIC.
+// The caller owns it (mpi.Request embeds one); the host refers to it from
+// Submit until Wait or Retire, and the completion fills it in.
 type Request struct {
 	ID     uint64
 	Done   bool
@@ -85,13 +87,12 @@ func (h *Host) NewID() uint64 {
 }
 
 // Submit charges the library-call cost and dispatches a request descriptor
-// to the NIC. It returns the host-side handle.
-func (h *Host) Submit(e *proc.Engine, req nic.HostRequest) *Request {
+// to the NIC, resetting the caller's handle r to track it.
+func (h *Host) Submit(e *proc.Engine, r *Request, req nic.HostRequest) {
 	e.Cycles(params.HostCallCycles)
-	r := &Request{ID: req.ID}
+	*r = Request{ID: req.ID}
 	h.reqs[req.ID] = r
 	h.nic.SubmitRequest(req)
-	return r
 }
 
 // Wait polls until the request completes, charging the poll loop.

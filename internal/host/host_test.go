@@ -28,7 +28,8 @@ func TestSubmitAndWaitRoundTrip(t *testing.T) {
 	eng.Spawn("h0", func(p *sim.Process) {
 		e := proc.New(p, params.HostCPU(), h0.Mem())
 		id := h0.NewID()
-		req := h0.Submit(e, nic.HostRequest{
+		req := new(host.Request)
+		h0.Submit(e, req, nic.HostRequest{
 			Kind: nic.ReqSend, ID: id, Dst: 1,
 			Hdr:  match.Header{Context: 1, Source: 0, Tag: 9},
 			Size: 64,
@@ -39,7 +40,8 @@ func TestSubmitAndWaitRoundTrip(t *testing.T) {
 	eng.Spawn("h1", func(p *sim.Process) {
 		e := proc.New(p, params.HostCPU(), h1.Mem())
 		id := h1.NewID()
-		req := h1.Submit(e, nic.HostRequest{
+		req := new(host.Request)
+		h1.Submit(e, req, nic.HostRequest{
 			Kind: nic.ReqRecv, ID: id,
 			Recv: match.Recv{Context: 1, Source: 0, Tag: 9}, RecvSize: 64,
 		})
@@ -65,7 +67,8 @@ func TestWaitOnAlreadyDoneRequest(t *testing.T) {
 	eng.Spawn("h1", func(p *sim.Process) {
 		e := proc.New(p, params.HostCPU(), h1.Mem())
 		id := h1.NewID()
-		req := h1.Submit(e, nic.HostRequest{
+		req := new(host.Request)
+		h1.Submit(e, req, nic.HostRequest{
 			Kind: nic.ReqRecv, ID: id,
 			Recv: match.Recv{Context: 1, Source: 0, Tag: 1},
 		})
@@ -83,7 +86,8 @@ func TestWaitOnAlreadyDoneRequest(t *testing.T) {
 	eng.Spawn("h0", func(p *sim.Process) {
 		e := proc.New(p, params.HostCPU(), h0.Mem())
 		id := h0.NewID()
-		req := h0.Submit(e, nic.HostRequest{
+		req := new(host.Request)
+		h0.Submit(e, req, nic.HostRequest{
 			Kind: nic.ReqSend, ID: id, Dst: 1,
 			Hdr: match.Header{Context: 1, Source: 0, Tag: 1},
 		})
@@ -102,7 +106,8 @@ func TestCompletionVisibilityDelay(t *testing.T) {
 		e := proc.New(p, params.HostCPU(), h0.Mem())
 		id := h0.NewID()
 		start := p.Now()
-		req := h0.Submit(e, nic.HostRequest{
+		req := new(host.Request)
+		h0.Submit(e, req, nic.HostRequest{
 			Kind: nic.ReqSend, ID: id, Dst: 1,
 			Hdr: match.Header{Context: 1, Source: 0, Tag: 2},
 		})

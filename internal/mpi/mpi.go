@@ -632,9 +632,10 @@ type Rank struct {
 	h  *host.Host
 }
 
-// Request is a nonblocking-operation handle.
+// Request is a nonblocking-operation handle. It embeds the host-side
+// handle, so a request costs one allocation.
 type Request struct {
-	hr   *host.Request
+	hr   host.Request
 	rank *Rank
 }
 
@@ -737,15 +738,15 @@ func (r *Rank) isendAs(ctx, srcLocal uint16, dstWorld, tag, size int) *Request {
 	if dstWorld < 0 || dstWorld >= r.Size() {
 		panic(fmt.Sprintf("mpi: rank %d Isend to invalid world rank %d", r.id, dstWorld))
 	}
-	id := r.h.NewID()
-	hr := r.h.Submit(r.e, nic.HostRequest{
+	req := &Request{rank: r}
+	r.h.Submit(r.e, &req.hr, nic.HostRequest{
 		Kind: nic.ReqSend,
-		ID:   id,
+		ID:   r.h.NewID(),
 		Dst:  dstWorld,
 		Hdr:  match.Header{Context: ctx, Source: int32(srcLocal), Tag: int32(tag)},
 		Size: size,
 	})
-	return &Request{hr: hr, rank: r}
+	return req
 }
 
 // allocContext returns a stable fresh context id for a collective
@@ -787,14 +788,14 @@ func (r *Rank) irecv(ctx uint16, src, tag, size int) *Request {
 	if src != AnySource && (src < 0 || src >= r.Size()) {
 		panic(fmt.Sprintf("mpi: rank %d Irecv from invalid rank %d", r.id, src))
 	}
-	id := r.h.NewID()
-	hr := r.h.Submit(r.e, nic.HostRequest{
+	req := &Request{rank: r}
+	r.h.Submit(r.e, &req.hr, nic.HostRequest{
 		Kind:     nic.ReqRecv,
-		ID:       id,
+		ID:       r.h.NewID(),
 		Recv:     match.Recv{Context: ctx, Source: int32(src), Tag: int32(tag)},
 		RecvSize: size,
 	})
-	return &Request{hr: hr, rank: r}
+	return req
 }
 
 // Isend starts a nonblocking send of size bytes (MPI_Isend).
@@ -823,7 +824,7 @@ func (r *Rank) Wait(req *Request) {
 	if req.rank != r {
 		panic("mpi: Wait on a request from another rank")
 	}
-	r.h.Wait(r.e, req.hr)
+	r.h.Wait(r.e, &req.hr)
 }
 
 // Waitall blocks until every request completes (MPI_Waitall, built from
@@ -847,10 +848,10 @@ func (r *Rank) iprobe(ctx uint16, src, tag int) (bool, Status) {
 	if src != AnySource && (src < 0 || src >= r.Size()) {
 		panic(fmt.Sprintf("mpi: rank %d Iprobe from invalid rank %d", r.id, src))
 	}
-	id := r.h.NewID()
-	hr := r.h.Submit(r.e, nic.HostRequest{
+	hr := new(host.Request)
+	r.h.Submit(r.e, hr, nic.HostRequest{
 		Kind: nic.ReqProbe,
-		ID:   id,
+		ID:   r.h.NewID(),
 		Recv: match.Recv{Context: ctx, Source: int32(src), Tag: int32(tag)},
 	})
 	r.h.Wait(r.e, hr)
@@ -870,7 +871,7 @@ func (r *Rank) Waitany(reqs ...*Request) int {
 		for i, req := range reqs {
 			if req.hr.Done {
 				r.e.Cycles(params.HostCompletionPoll)
-				r.h.Retire(req.hr)
+				r.h.Retire(&req.hr)
 				return i
 			}
 		}
@@ -911,4 +912,4 @@ func (r *Rank) Barrier() {
 	}
 }
 
-func (r *Rank) wait(req *Request) { r.h.Wait(r.e, req.hr) }
+func (r *Rank) wait(req *Request) { r.h.Wait(r.e, &req.hr) }

@@ -97,15 +97,17 @@ func (n *NIC) dispatchShard(e *proc.Engine, bits match.Bits) *mirrorQueue {
 // to their owner shard through the dispatch cache; ANY_SOURCE receives
 // broadcast one copy per shard under this same firmware step, so the
 // copies are adjacent in every shard's posting order.
-func (n *NIC) fabricPost(e *proc.Engine, b, m match.Bits, pr *postedRecv) {
+func (n *NIC) fabricPost(e *proc.Engine, pr *postedRecv) {
+	b, m := pr.entry.Bits, pr.entry.Mask
 	if match.WildcardSource(m) {
 		n.fab.wildBroadcasts++
-		wg := &wildGroup{pr: pr}
-		for _, q := range n.fab.shards {
-			wg.copies = append(wg.copies, n.appendShard(e, q, b, m, wg))
+		wg := &wildGroup{pr: pr, copies: make([]*match.Entry, len(n.fab.shards))}
+		for i, q := range n.fab.shards {
+			wg.copies[i] = &match.Entry{Bits: b, Mask: m, Req: wg}
+			n.appendShard(e, q, wg.copies[i])
 		}
 	} else {
-		n.appendShard(e, n.dispatchShard(e, b), b, m, pr)
+		n.appendShard(e, n.dispatchShard(e, b), &pr.entry)
 	}
 	total := 0
 	for _, q := range n.fab.shards {
@@ -121,15 +123,14 @@ func (n *NIC) fabricPost(e *proc.Engine, b, m match.Bits, pr *postedRecv) {
 // overflow hash too (promotion into cells happens in updateALPU). A
 // failed-over shard has over == nil and appends into its hash shadow
 // through the ordinary appendEntry path.
-func (n *NIC) appendShard(e *proc.Engine, q *mirrorQueue, b, m match.Bits, req any) *match.Entry {
-	entry := n.appendEntry(e, q, b, m, req)
+func (n *NIC) appendShard(e *proc.Engine, q *mirrorQueue, entry *match.Entry) {
+	n.appendEntry(e, q, entry)
 	if q.over != nil {
 		q.over.InsertOrdered(entry)
 		e.Cycles(4)
-		e.Store(hashBucketAddr(b), 8)
+		e.Store(hashBucketAddr(entry.Bits), 8)
 	}
 	n.fab.shardDepth.Add(n.queueLen(q))
-	return entry
 }
 
 // searchShard finds the oldest match in a fabric shard: a linear walk of

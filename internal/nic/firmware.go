@@ -124,12 +124,10 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 			return
 		}
 		delete(n.pendingSends, pkt.SenderReq)
-		done := n.dmaTx.Transfer(e.Now(), s.req.Size)
-		data := network.Packet{
+		done := n.transmit(e.Now(), network.Packet{
 			Kind: network.Data, Src: n.cfg.ID, Dst: pkt.Src,
 			Size: s.req.Size, RecvReq: pkt.RecvReq,
-		}
-		n.eng.At(done, func() { n.send(data) })
+		})
 		e.Cycles(params.CompletionCycles)
 		n.complete(s.req.ID, done, CompletionStatus{})
 
@@ -171,7 +169,8 @@ func (n *NIC) addUnexpected(e *proc.Engine, pkt network.Packet) {
 		n.dmaRx.Transfer(e.Now(), pkt.Size)
 		um.bufLen = pkt.Size
 	}
-	n.appendEntry(e, &n.unexp, match.Pack(pkt.Hdr), match.FullMask, um)
+	um.entry = match.Entry{Bits: match.Pack(pkt.Hdr), Mask: match.FullMask, Req: um}
+	n.appendEntry(e, &n.unexp, &um.entry)
 }
 
 var reqSpanNames = map[ReqKind]string{
@@ -196,12 +195,10 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 			n.tracer.FlowStart(n.cfg.ID, tidFirmware, "mpi", "msg", e.Now(), uint64(match.Pack(req.Hdr)))
 		}
 		if req.Size <= params.EagerLimit {
-			done := n.dmaTx.Transfer(e.Now(), req.Size)
-			pkt := network.Packet{
+			done := n.transmit(e.Now(), network.Packet{
 				Kind: network.Eager, Src: n.cfg.ID, Dst: req.Dst,
 				Hdr: req.Hdr, Size: req.Size,
-			}
-			n.eng.At(done, func() { n.send(pkt) })
+			})
 			e.Cycles(params.CompletionCycles)
 			// An eager send completes locally once the data has left the
 			// host buffer.
@@ -237,10 +234,11 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 		if entry == nil {
 			pr := &postedRecv{req: req}
 			b, m := match.PackRecv(req.Recv)
+			pr.entry = match.Entry{Bits: b, Mask: m, Req: pr}
 			if n.fab != nil {
-				n.fabricPost(e, b, m, pr)
+				n.fabricPost(e, pr)
 			} else {
-				n.appendEntry(e, &n.posted, b, m, pr)
+				n.appendEntry(e, &n.posted, &pr.entry)
 			}
 			return
 		}
@@ -585,11 +583,12 @@ func (n *NIC) searchRemoveHash(e *proc.Engine, q *mirrorQueue, bits, mask match.
 	return entry
 }
 
-// appendEntry creates a queue entry, charges its construction, and appends
-// it to the software queue.
-func (n *NIC) appendEntry(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, req any) *match.Entry {
+// appendEntry places a caller-owned queue entry (Bits, Mask and Req set)
+// in NIC memory, charges its construction, and appends it to the software
+// queue.
+func (n *NIC) appendEntry(e *proc.Engine, q *mirrorQueue, entry *match.Entry) {
 	addr := n.entryAlloc.get()
-	entry := &match.Entry{Bits: bits, Mask: mask, Addr: addr, Req: req}
+	entry.Addr = addr
 	e.Store(addr, params.QueueEntryBytes)
 	e.Prefetch(addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, true)
 	if q.hash != nil {
@@ -599,7 +598,7 @@ func (n *NIC) appendEntry(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits,
 		// §II: "can also significantly increase the time needed to insert
 		// an entry": hash compute, bucket lookup, tail update.
 		e.Cycles(int64(steps) * 4)
-		e.Store(hashBucketAddr(bits), 8)
+		e.Store(hashBucketAddr(entry.Bits), 8)
 	} else {
 		q.list.Append(entry)
 		e.Cycles(4) // tail pointer update
@@ -607,7 +606,6 @@ func (n *NIC) appendEntry(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits,
 	if l := n.queueLen(q); l > q.peakLen {
 		q.peakLen = l
 	}
-	return entry
 }
 
 // updateALPUs performs the per-iteration ALPU maintenance of §V-C,

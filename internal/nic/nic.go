@@ -270,15 +270,20 @@ type sendState struct {
 }
 
 // unexMsg is the NIC-side record of an unexpected message (§V-C
-// unexpectedQ entry).
+// unexpectedQ entry). It carries its own queue entry, so joining the
+// queue is one allocation.
 type unexMsg struct {
+	entry  match.Entry
 	pkt    network.Packet
 	bufLen int
 }
 
-// postedRecv is the NIC-side record of a posted receive.
+// postedRecv is the NIC-side record of a posted receive, carrying its own
+// queue entry. Only the per-shard copies of a fabric wildcard live in
+// entries of their own (wildGroup.copies).
 type postedRecv struct {
-	req HostRequest
+	entry match.Entry
+	req   HostRequest
 }
 
 // NIC is one simulated network interface.
@@ -292,11 +297,20 @@ type NIC struct {
 	ep    *network.Endpoint
 	dmaRx *dma.Engine
 	dmaTx *dma.Engine
+	// txWait holds the packets whose transmit DMA is still reading the
+	// host buffer, oldest first, and txDone is the bound handler each
+	// transfer schedules for its finish (transmit).
+	txWait sim.Ring[network.Packet]
+	txDone func()
 
 	// HostQ carries requests from the host library; pushes must go
-	// through SubmitRequest so the host-bus latency is modelled.
-	HostQ *sim.FIFO[HostRequest]
-	kick  *sim.Signal
+	// through SubmitRequest so the host-bus latency is modelled. hostBus
+	// holds the requests still crossing the bus, oldest first, and
+	// busArrive is the bound arrival handler each crossing schedules.
+	HostQ     *sim.FIFO[HostRequest]
+	hostBus   sim.Ring[HostRequest]
+	busArrive func()
+	kick      *sim.Signal
 
 	posted mirrorQueue
 	unexp  mirrorQueue
@@ -424,6 +438,8 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 	if n.reg == nil {
 		n.reg = telemetry.NewRegistry()
 	}
+	n.busArrive = n.arriveFromBus
+	n.txDone = n.sendTxHead
 	if cfg.FwCrashProb > 0 {
 		seed := cfg.FwCrashSeed
 		if seed == 0 {
@@ -752,20 +768,44 @@ func (n *NIC) queueLen(q *mirrorQueue) int {
 }
 
 // SubmitRequest delivers a host request to the NIC after the host-bus
-// latency. It is called from the host side (any goroutine-context that is
-// currently executing in the simulation).
+// latency. It is called from the host side (any process currently
+// executing on the NIC's engine). The latency is constant, so requests
+// arrive in submit order: the descriptor waits on the bus ring, and the
+// arrival it schedules takes the oldest one.
 func (n *NIC) SubmitRequest(req HostRequest) {
-	n.eng.Schedule(params.HostBusLatency, func() {
-		// Fig. 1: new posted receives are replicated to the unexpected
-		// ALPU by hardware as they arrive at the NIC (when engaged).
-		if req.Kind == ReqRecv && n.unexp.engaged {
-			b, m := match.PackRecv(req.Recv)
-			n.unexp.dev.PushProbe(alpu.Probe{Bits: b, Mask: m, Meta: req.ID})
-			n.unexp.probed[req.ID] = true
-		}
-		n.HostQ.Push(req)
-		n.kick.Raise()
-	})
+	n.hostBus.Push(req)
+	n.eng.Schedule(params.HostBusLatency, n.busArrive)
+}
+
+// arriveFromBus lands the oldest request crossing the host bus in HostQ.
+func (n *NIC) arriveFromBus() {
+	req, _ := n.hostBus.Pop()
+	// Fig. 1: new posted receives are replicated to the unexpected
+	// ALPU by hardware as they arrive at the NIC (when engaged).
+	if req.Kind == ReqRecv && n.unexp.engaged {
+		b, m := match.PackRecv(req.Recv)
+		n.unexp.dev.PushProbe(alpu.Probe{Bits: b, Mask: m, Meta: req.ID})
+		n.unexp.probed[req.ID] = true
+	}
+	n.HostQ.Push(req)
+	n.kick.Raise()
+}
+
+// transmit starts the transmit DMA of pkt's payload at now and sends pkt
+// when it finishes, returning that time. Transmit DMAs are serialised and
+// each takes at least the setup delay, so they finish in issue order: the
+// packet waits on txWait, and the finish event sends the oldest one.
+func (n *NIC) transmit(now sim.Time, pkt network.Packet) sim.Time {
+	done := n.dmaTx.Transfer(now, pkt.Size)
+	n.txWait.Push(pkt)
+	n.eng.At(done, n.txDone)
+	return done
+}
+
+// sendTxHead sends the packet whose transmit DMA finished first.
+func (n *NIC) sendTxHead() {
+	pkt, _ := n.txWait.Pop()
+	n.send(pkt)
 }
 
 // CompletionStatus is the receive-side completion envelope (the model's

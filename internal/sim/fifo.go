@@ -1,16 +1,67 @@
 package sim
 
+// Ring is an unbounded first-in first-out queue of values. The zero value
+// is an empty ring that allocates nothing until its first Push; the
+// buffer doubles from 4 slots when full, so its length is always a power
+// of two and indices wrap with a mask. Popped slots are zeroed so the ring
+// never retains references to items it no longer holds.
+type Ring[T any] struct {
+	buf   []T
+	head  int // index of the oldest item
+	count int
+}
+
+// Len returns the number of queued items.
+func (r *Ring[T]) Len() int { return r.count }
+
+// Push appends v.
+func (r *Ring[T]) Push(v T) {
+	if r.count == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.count)&(len(r.buf)-1)] = v
+	r.count++
+}
+
+// Pop removes and returns the oldest item.
+func (r *Ring[T]) Pop() (T, bool) {
+	var zero T
+	if r.count == 0 {
+		return zero, false
+	}
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.count--
+	return v, true
+}
+
+// Peek returns the oldest item without removing it.
+func (r *Ring[T]) Peek() (T, bool) {
+	if r.count == 0 {
+		var zero T
+		return zero, false
+	}
+	return r.buf[r.head], true
+}
+
+// grow doubles the buffer, unwrapping the live items to its front.
+func (r *Ring[T]) grow() {
+	buf := make([]T, max(2*len(r.buf), 4))
+	n := copy(buf, r.buf[r.head:])
+	copy(buf[n:], r.buf[:r.head])
+	r.buf = buf
+	r.head = 0
+}
+
 // FIFO is a bounded queue with a "became non-empty" signal, modelling the
 // decoupling FIFOs the paper places between the processor, the header
-// stream, and the ALPU (Fig. 1). Capacity 0 means unbounded.
-//
-// Storage is a ring buffer: Push and Pop are O(1), and popped slots are
-// zeroed so the FIFO never retains references to items it no longer holds.
+// stream, and the ALPU (Fig. 1). Capacity 0 means unbounded. Storage is a
+// Ring, so Push and Pop are O(1) and a FIFO that never fills past a few
+// items never allocates more than a few slots.
 type FIFO[T any] struct {
 	name     string
-	buf      []T
-	head     int // index of the oldest item
-	count    int
+	ring     Ring[T]
 	capacity int
 	NotEmpty *Signal
 	NotFull  *Signal
@@ -23,43 +74,25 @@ type FIFO[T any] struct {
 
 // NewFIFO returns an empty FIFO with the given capacity (0 = unbounded).
 func NewFIFO[T any](e *Engine, name string, capacity int) *FIFO[T] {
-	f := &FIFO[T]{
+	return &FIFO[T]{
 		name:     name,
 		capacity: capacity,
 		NotEmpty: NewSignal(e),
 		NotFull:  NewSignal(e),
 	}
-	if capacity > 0 {
-		f.buf = make([]T, capacity)
-	}
-	return f
 }
 
 // Name returns the FIFO's name.
 func (f *FIFO[T]) Name() string { return f.name }
 
 // Len returns the number of queued items.
-func (f *FIFO[T]) Len() int { return f.count }
+func (f *FIFO[T]) Len() int { return f.ring.count }
 
 // Cap returns the capacity (0 = unbounded).
 func (f *FIFO[T]) Cap() int { return f.capacity }
 
 // Full reports whether a Push would fail.
-func (f *FIFO[T]) Full() bool { return f.capacity > 0 && f.count >= f.capacity }
-
-// grow doubles the ring for an unbounded FIFO, unwrapping the live items to
-// the front of the new buffer.
-func (f *FIFO[T]) grow() {
-	newCap := 2 * len(f.buf)
-	if newCap < 4 {
-		newCap = 4
-	}
-	buf := make([]T, newCap)
-	n := copy(buf, f.buf[f.head:])
-	copy(buf[n:], f.buf[:f.head])
-	f.buf = buf
-	f.head = 0
-}
+func (f *FIFO[T]) Full() bool { return f.capacity > 0 && f.ring.count >= f.capacity }
 
 // Push appends v. It reports false (dropping v) when the FIFO is full;
 // hardware-faithful callers must check Full first or handle the drop.
@@ -68,45 +101,30 @@ func (f *FIFO[T]) Push(v T) bool {
 		f.drops++
 		return false
 	}
-	if f.count == len(f.buf) {
-		f.grow() // unbounded FIFO out of room
-	}
-	f.buf[(f.head+f.count)%len(f.buf)] = v
-	f.count++
+	f.ring.Push(v)
 	f.pushes++
-	if f.count > f.maxDepth {
-		f.maxDepth = f.count
+	if f.ring.count > f.maxDepth {
+		f.maxDepth = f.ring.count
 	}
 	f.NotEmpty.Raise()
 	return true
 }
 
-// Pop removes and returns the oldest item. The vacated slot is zeroed so
-// the backing array retains no reference to the popped item.
+// Pop removes and returns the oldest item.
 func (f *FIFO[T]) Pop() (T, bool) {
-	var zero T
-	if f.count == 0 {
-		return zero, false
+	v, ok := f.ring.Pop()
+	if !ok {
+		return v, false
 	}
-	v := f.buf[f.head]
-	f.buf[f.head] = zero
-	f.head = (f.head + 1) % len(f.buf)
-	f.count--
 	f.NotFull.Raise()
-	if f.count > 0 {
+	if f.ring.count > 0 {
 		f.NotEmpty.Raise()
 	}
 	return v, true
 }
 
 // Peek returns the oldest item without removing it.
-func (f *FIFO[T]) Peek() (T, bool) {
-	var zero T
-	if f.count == 0 {
-		return zero, false
-	}
-	return f.buf[f.head], true
-}
+func (f *FIFO[T]) Peek() (T, bool) { return f.ring.Peek() }
 
 // MaxDepth reports the high-water mark since creation.
 func (f *FIFO[T]) MaxDepth() int { return f.maxDepth }

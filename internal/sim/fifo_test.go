@@ -10,7 +10,8 @@ func TestFIFOWraparound(t *testing.T) {
 	next := 0 // next value to push
 	want := 0 // next value expected from Pop
 	// Keep the FIFO at depth 2 while pushing 100 items: head wraps the
-	// 3-slot ring dozens of times.
+	// 4-slot ring (a capacity-3 FIFO rounds its ring up to a power of
+	// two) dozens of times.
 	f.Push(next)
 	next++
 	for next < 100 {
@@ -113,7 +114,7 @@ func TestFIFOPopZeroesSlot(t *testing.T) {
 	v := new(int)
 	f.Push(v)
 	f.Pop()
-	for _, s := range f.buf {
+	for _, s := range f.ring.buf {
 		if s != nil {
 			t.Fatal("popped slot still references the item")
 		}

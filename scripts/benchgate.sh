@@ -4,9 +4,10 @@
 # partition-runner micro-benchmarks, the ALPU device
 # micro-benchmarks, the matching-fabric dispatch/overflow and dispatch-
 # cache micro-benchmarks, the NIC-geometry cache walk and cache
-# construction, and the quick Fig. 5 sweep cuts — and appends
-# the raw `go test -bench` output to the given file (default
-# BENCH_CURRENT.txt). CI compares that output against the committed
+# construction, the MPI request path (one preposted receive and its
+# eager send, with allocs/op and B/op), and the quick Fig. 5 sweep
+# cuts — and appends the raw `go test -bench` output to the given file
+# (default BENCH_CURRENT.txt). CI compares that output against the committed
 # BENCH_BASELINE.txt with cmd/benchgate; regenerate the baseline by
 # running this script with BENCH_BASELINE.txt as the argument on the
 # reference machine and committing the result.
@@ -35,4 +36,8 @@ go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./int
 # one four times the cache (nearly all misses), plus building a host L2
 # and making its first access (the lazy allocation).
 go test -run '^$' -bench 'BenchmarkCache(NICWalk|New)$' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
+# The request path from mpi through host and nic and back: ~6 µs per
+# message, so time-based benchtime; allocs/op shows any per-request
+# allocation that creeps back.
+go test -run '^$' -bench 'BenchmarkPostedReceive$' -benchtime 0.2s -count 3 ./internal/mpi | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkFig5' -benchtime 3x -count 3 . | tee -a "$out"
